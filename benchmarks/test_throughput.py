@@ -1,12 +1,14 @@
 """Bench: Sec 6.4 — per-item cost of each encoding, plus the hub soak.
 
-Besides the human-readable table, this bench emits the machine-readable
-``benchmarks/results/BENCH_throughput.json`` (µs/item and speedup over
-the seed revision's recorded figures, and the 1,000-stream hub soak's
-µs/item next to the single-session figure) so the performance
-trajectory is tracked from PR 2 on.  It asserts the vectorized scan
-keeps the initial encoding at least 5x faster than the seed, and that
-multiplexing 1,000 concurrent streams through a
+Prints the human-readable table and builds the machine-readable
+``BENCH_throughput.json`` payload (µs/item and speedup over the seed
+revision's recorded figures, and the 1,000-stream hub soak's µs/item
+next to the single-session figure), but writes nothing under
+``benchmarks/results/``: timings change from run to run, so the tracked
+files change only when someone records them on purpose with
+``python -m repro.experiments.throughput --json``.  It asserts the
+vectorized scan keeps the initial encoding at least 5x faster than the
+seed, and that multiplexing 1,000 concurrent streams through a
 :class:`repro.StreamHub` costs at most 1.5x the per-item price of one
 dedicated session.
 """
@@ -16,10 +18,11 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from _util import RESULTS_DIR, report, run_once
+from _util import run_once
 
 from repro.experiments.config import bench_scale
 from repro.experiments.datasets import reference_synthetic
+from repro.experiments.runner import format_table
 from repro.experiments.throughput import (
     SEED_US_PER_ITEM,
     _embed_time,
@@ -37,7 +40,7 @@ from repro.experiments.throughput import (
 def test_throughput_overheads(benchmark):
     scale = bench_scale()
     result = run_once(benchmark, run_throughput, scale)
-    report(result)
+    print("\n" + format_table(result))
 
     # Hub soak: 1,000 concurrent small-chunk streams at full scale
     # (proportionally fewer when the harness shrinks the workload).
@@ -49,9 +52,9 @@ def test_throughput_overheads(benchmark):
           f"(ratio {soak['hub_overhead_ratio']})")
 
     # Remote loopback: the same pushes through a `repro serve`
-    # subprocess on 127.0.0.1, pricing each (transport, wire) serving
-    # configuration — framing, payload codec, loopback round trips,
-    # credits — against the in-process hub, in CPU seconds.
+    # subprocess on 127.0.0.1, pricing each transport — framing,
+    # payload codec, loopback round trips, credits — against the
+    # in-process hub, in CPU seconds.
     loopback = run_remote_loopback(
         n_items=max(50000, int(200000 * min(scale, 1.0))))
     print(f"remote loopback: {loopback['items']} items x "
@@ -108,10 +111,7 @@ def test_throughput_overheads(benchmark):
                               metrics_overhead=overhead,
                               loadgen_churn=churn,
                               chaos_soak=chaos_soak)
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    with open(RESULTS_DIR / "BENCH_throughput.json", "w") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+    json.dumps(payload)  # the recorded artifact must stay serializable
 
     # Enabled metrics stay within 5% µs/item on the initial encoding
     # push path, and churn must not bend exactly-once delivery.

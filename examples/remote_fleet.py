@@ -33,6 +33,7 @@ import threading
 import numpy as np
 
 from repro import DetectionSession, WatermarkParams, watermark_stream
+from repro.chaos import RetryPolicy
 from repro.server.client import RemoteClient
 from repro.streams import TemperatureSensorGenerator
 
@@ -41,6 +42,9 @@ N_ITEMS = 4000
 CHUNK = 500
 PARAMS = WatermarkParams(phi=5)
 PAYLOAD = "10"
+#: Patient reconnects: up to 120 dials within a minute ride out the
+#: server kill and the replacement's start-up.
+RETRY = RetryPolicy(attempts=120, deadline=60.0)
 
 
 def sensor_key(sensor_id: str) -> bytes:
@@ -65,7 +69,7 @@ def run_client(port: int, sensor_id: str, values: np.ndarray,
                published: dict) -> None:
     """One tenant's client thread: feed half, survive the kill, finish."""
     with RemoteClient("127.0.0.1", port, tenant=sensor_id,
-                      reconnect_delay=0.25, reconnect_attempts=120) as client:
+                      retry=RETRY) as client:
         session = client.protect(sensor_id, PAYLOAD, sensor_key(sensor_id),
                                  params=PARAMS)
         out = []
@@ -102,8 +106,7 @@ def main() -> None:
 
         def run_detector() -> None:
             with RemoteClient("127.0.0.1", port, tenant="court",
-                              reconnect_delay=0.25,
-                              reconnect_attempts=120) as client:
+                              retry=RETRY) as client:
                 session = client.detect("court", len(PAYLOAD),
                                         sensor_key("court"), params=PARAMS)
                 half = N_ITEMS // 2

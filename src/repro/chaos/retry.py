@@ -61,13 +61,17 @@ class RetryPolicy:
     op_timeout:
         Budget in seconds for any single framed read; a server silent
         for longer is treated as a lost connection.  ``None`` disables.
+
+    The defaults are the client SDK's policy: 40 attempts, sleeps
+    capped at 0.25 s, a 30 s deadline per reconnect cycle and a 30 s
+    per-read timeout — enough to ride out a ``--recover`` restart.
     """
 
     attempts: int = 40
     base_delay: float = 0.05
     multiplier: float = 2.0
-    max_delay: float = 2.0
-    deadline: "float | None" = 60.0
+    max_delay: float = 0.25
+    deadline: "float | None" = 30.0
     op_timeout: "float | None" = 30.0
 
     def __post_init__(self) -> None:
@@ -97,18 +101,3 @@ class RetryPolicy:
     def with_attempts(self, attempts: int) -> "RetryPolicy":
         """A copy with a different attempt budget (same shape)."""
         return dataclasses.replace(self, attempts=max(1, int(attempts)))
-
-    @classmethod
-    def legacy(cls, attempts: int, delay: float) -> "RetryPolicy":
-        """Map the old ``reconnect_attempts``/``reconnect_delay`` knobs.
-
-        Preserves the old loop's worst-case patience: the fixed delay
-        becomes the backoff cap, and the deadline comfortably covers
-        ``attempts`` sleeps of that length.
-        """
-        delay = max(0.0, float(delay))
-        attempts = max(1, int(attempts))
-        return cls(attempts=attempts, base_delay=min(delay, 0.05) or 0.05,
-                   max_delay=max(delay, 0.05),
-                   deadline=max(30.0, attempts * max(delay, 0.05) * 2),
-                   op_timeout=30.0)

@@ -8,8 +8,8 @@ a fork — so every transport or store registered in
 
 * :class:`ChaosChannel` / :class:`ChaosTransport` — per-message latency,
   stalls, drops, mid-frame truncation (a *valid* transport message
-  carrying a prefix of the frame body, so the peer's codec chokes the
-  way a torn TCP stream would, on every transport), and hard resets.
+  carrying a prefix of the frame body, the way a torn TCP stream would
+  arrive, on every transport), and hard resets.
 * :class:`ChaosCheckpointStore` — torn writes (a prefix of the entry is
   durably stored, then the save fails), transient EIO, and stale reads
   (the previous entry is served instead of the latest).
@@ -115,8 +115,11 @@ class ChaosChannel(TransportConnection):
                                   bytes=len(body), kept=keep)
             try:
                 # A complete transport message carrying a torn frame
-                # body: the peer's codec rejects it, mimicking a crash
-                # mid-frame regardless of the underlying framing.
+                # body, mimicking a crash mid-frame regardless of the
+                # underlying framing.  The peer's codec rejects most
+                # cuts; a cut inside the payload on an 8-byte boundary
+                # still decodes, with fewer values, and is caught by
+                # the client's RESULT position check instead.
                 await self._inner.write_message(body[:keep])
             finally:
                 self.abort()

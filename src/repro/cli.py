@@ -21,7 +21,7 @@ A thin, scriptable wrapper over the library for the Fig-1 workflow:
   transparent reconnect-and-resume;
 * ``status``  — query a serving endpoint's STATUS snapshot (server
   counters, per-tenant stream stats, metrics registry) over any
-  transport x wire combination;
+  transport;
 * ``loadgen`` — churn load generator: N concurrent clients connect,
   push, crash and resume against a server (spawned in-process by
   default), reporting a latency histogram and verifying exactly-once
@@ -72,23 +72,23 @@ def add_retry_flags(p: argparse.ArgumentParser) -> None:
     """The ``--retry-*`` knobs shared by ``remote`` and ``loadgen``.
 
     Defaults are ``None`` so :func:`_retry_policy` can tell "flag not
-    given" (use the client SDK's default policy) from an explicit value.
+    given" (keep the client SDK's default policy) from an explicit
+    value.
     """
     p.add_argument("--retry-attempts", type=int, default=None,
                    metavar="N",
-                   help="dial attempts per reconnect cycle "
-                        "(default: the SDK policy, 40)")
+                   help="dial attempts per reconnect cycle (default 40)")
     p.add_argument("--retry-base-delay", type=float, default=None,
                    metavar="SECONDS",
                    help="first backoff cap; doubles per attempt with "
                         "full jitter (default 0.05)")
     p.add_argument("--retry-max-delay", type=float, default=None,
                    metavar="SECONDS",
-                   help="backoff ceiling (default 2)")
+                   help="backoff ceiling (default 0.25)")
     p.add_argument("--retry-deadline", type=float, default=None,
                    metavar="SECONDS",
                    help="overall wall-clock budget per reconnect cycle "
-                        "(default 60)")
+                        "(default 30)")
     p.add_argument("--retry-op-timeout", type=float, default=None,
                    metavar="SECONDS",
                    help="per-operation read timeout; a server silent "
@@ -97,18 +97,17 @@ def add_retry_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _retry_policy(args):
-    """A :class:`repro.chaos.RetryPolicy` from ``--retry-*`` flags, or
-    ``None`` when no flag was given (the SDK default applies)."""
-    values = {name: getattr(args, f"retry_{name}", None)
-              for name in ("attempts", "base_delay", "max_delay",
-                           "deadline", "op_timeout")}
-    if all(value is None for value in values.values()):
+    """A :class:`repro.chaos.RetryPolicy` from the ``--retry-*`` flags
+    given, or ``None`` when none was (the SDK default applies).  Fields
+    whose flag was not given keep the SDK default's values."""
+    given = {name: value
+             for name in ("attempts", "base_delay", "max_delay",
+                          "deadline", "op_timeout")
+             if (value := getattr(args, f"retry_{name}", None)) is not None}
+    if not given:
         return None
     from repro.chaos.retry import RetryPolicy
-    defaults = RetryPolicy()
-    return RetryPolicy(**{name: (getattr(defaults, name)
-                                 if value is None else value)
-                          for name, value in values.items()})
+    return RetryPolicy(**given)
 
 
 def _fault_injector(args, *, log_attr: str = "chaos_log"):
@@ -264,11 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--transport", default="tcp", metavar="NAME",
                        help="registered transport to listen on "
                             "(see `repro list`; default 'tcp')")
-    serve.add_argument("--wire", default="binary", metavar="NAME",
-                       help="newest wire codec granted at HELLO "
-                            "negotiation: 'json' or 'binary' "
-                            "(default 'binary'; clients may always "
-                            "negotiate down)")
     serve.add_argument("--store", default=None,
                        help="root directory for durable per-tenant "
                             "checkpoint stores (default: in-memory)")
@@ -344,9 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                metavar="NAME",
                                help="transport the server listens on "
                                     "(default 'tcp')")
-    status_parser.add_argument("--wire", default="binary", metavar="NAME",
-                               help="wire codec to request (default "
-                                    "'binary'; the server may grant less)")
     status_parser.add_argument("--tenant", default="default",
                                help="tenant namespace for the handshake "
                                     "(default 'default')")
@@ -373,8 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="target server port (requires --host)")
     loadgen.add_argument("--transport", default="tcp", metavar="NAME",
                          help="transport to dial (default 'tcp')")
-    loadgen.add_argument("--wire", default="binary", metavar="NAME",
-                         help="wire codec to request (default 'binary')")
     loadgen.add_argument("--tenant", default="loadgen",
                          help="tenant namespace (default 'loadgen')")
     loadgen.add_argument("--verify-bits", action="store_true",
@@ -410,10 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--transport", default="tcp", metavar="NAME",
                        help="transport the server listens on "
                             "(default 'tcp')")
-        p.add_argument("--wire", default="binary", metavar="NAME",
-                       help="wire codec to request: 'json' or 'binary' "
-                            "(default 'binary'; the server may grant "
-                            "less)")
         add_retry_flags(p)
 
     remote_embed = remote_sub.add_parser(
@@ -751,7 +736,7 @@ def _cmd_serve(args) -> int:
         service = StreamService(
             host=args.host, port=args.port, store_path=args.store,
             store_backend=args.store_backend, credits=args.credits,
-            transport=args.transport, max_wire=args.wire,
+            transport=args.transport,
             checkpoint_every=args.checkpoint_every,
             checkpoint_interval=args.checkpoint_interval,
             max_live_sessions=args.max_live, recover=args.recover,
@@ -761,14 +746,12 @@ def _cmd_serve(args) -> int:
             fault_injector=injector)
         host, port = await service.start()
         recoverable = service.recoverable() if args.recover else {}
-        status = service.status()
         # One machine-readable ready line: scripts parse the bound port
         # (required with --port 0) before dialing in, and operators see
         # what the server actually speaks.
         emit("ready", {
             "serving": {"host": host, "port": port,
-                        "transport": status["transport"],
-                        "max_wire": status["max_wire"]},
+                        "transport": args.transport},
             "store": args.store,
             "recoverable": {tenant: len(ids)
                             for tenant, ids in recoverable.items()},
@@ -782,10 +765,8 @@ def _cmd_serve(args) -> int:
             except NotImplementedError:  # pragma: no cover - non-POSIX
                 pass
         await service.serve_until_drained()
-        status = service.status()
         emit("drained", {"drained": True, "pushes": service.pushes,
-                         "transport": status["transport"],
-                         "wire_sessions": status["wire_sessions"]})
+                         "transport": args.transport})
 
     asyncio.run(run())
     return 0
@@ -805,7 +786,7 @@ def _cmd_remote_embed(args) -> int:
     values = _load(args)
     with RemoteClient(args.host, args.port, tenant=args.tenant,
                       transport=args.transport,
-                      wire=args.wire, retry=_retry_policy(args)) as client:
+                      retry=_retry_policy(args)) as client:
         session = client.protect(args.stream_id, args.watermark,
                                  _require_key(args), params=_params(args),
                                  encoding=args.encoding)
@@ -832,7 +813,7 @@ def _cmd_remote_detect(args) -> int:
     values = _load(args)
     with RemoteClient(args.host, args.port, tenant=args.tenant,
                       transport=args.transport,
-                      wire=args.wire, retry=_retry_policy(args)) as client:
+                      retry=_retry_policy(args)) as client:
         session = client.detect(args.stream_id, args.bits,
                                 _require_key(args), params=_params(args),
                                 encoding=args.encoding,
@@ -876,7 +857,7 @@ def _cmd_status(args) -> int:
         raise ReproError(
             f"bad address {args.address!r}; expected HOST:PORT")
     with RemoteClient(host, int(port), tenant=args.tenant,
-                      transport=args.transport, wire=args.wire) as client:
+                      transport=args.transport) as client:
         snapshot = client.status()
     print(json.dumps(snapshot,
                      indent=None if args.json else 2))
@@ -901,7 +882,7 @@ def _cmd_loadgen(args) -> int:
     summary = run_loadgen(workers=args.workers, pushes=args.pushes,
                           chunk=args.chunk, crash_every=args.crash_every,
                           host=args.host, port=args.port,
-                          transport=transport, wire=args.wire,
+                          transport=transport,
                           tenant=args.tenant,
                           verify_bits=args.verify_bits,
                           retry=_retry_policy(args))

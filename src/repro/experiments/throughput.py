@@ -560,12 +560,10 @@ def run_chaos_soak(workers: int = 3, pushes: int = 12, chunk: int = 128,
 # remote loopback: the network serving layer vs the in-process hub
 # ----------------------------------------------------------------------
 
-#: The transport x wire cells the loopback bench prices.  ``tcp-binary``
-#: is the headline (the regression guard and the top-level ratio);
-#: ``tcp-json`` shows what negotiation buys; ``websocket-binary``
-#: prices the RFC 6455 framing on the same codec.
-LOOPBACK_SCENARIOS = (("tcp", "json"), ("tcp", "binary"),
-                      ("websocket", "binary"))
+#: The transports the loopback bench prices.  ``tcp`` is the headline
+#: (the regression guard and the top-level ratio); ``websocket`` prices
+#: the RFC 6455 framing on the same codec.
+LOOPBACK_SCENARIOS = ("tcp", "websocket")
 
 
 def _proc_cpu_seconds(pid: int) -> "float | None":
@@ -588,8 +586,7 @@ def _proc_cpu_seconds(pid: int) -> "float | None":
 
 
 def _loopback_scenario(data: np.ndarray, chunk: int, params,
-                       transport: str, wire: str,
-                       repeats: int = 3) -> dict:
+                       transport: str, repeats: int = 3) -> dict:
     """One serving-stack measurement: CPU + wall seconds + counters.
 
     The server runs as a separate ``repro serve`` **process** — the
@@ -628,7 +625,7 @@ def _loopback_scenario(data: np.ndarray, chunk: int, params,
         stats = None
         for attempt in range(repeats):
             with RemoteClient(host, port, push_items=chunk,
-                              transport=transport, wire=wire) as client:
+                              transport=transport) as client:
                 session = client.protect(f"bench-{attempt}", "1",
                                          DEFAULT_KEY, params=params,
                                          encoding="initial")
@@ -667,13 +664,13 @@ def run_remote_loopback(n_items: int = 200000, chunk: int = 16000,
 
     One protection stream is fed in identical ``chunk``-item pushes
     into a :class:`~repro.hub.StreamHub` directly, then through a
-    ``repro serve`` subprocess on 127.0.0.1 once per ``(transport,
-    wire)`` scenario.  Each scenario's ratio prices that serving
+    ``repro serve`` subprocess on 127.0.0.1 once per transport
+    scenario.  Each scenario's ratio prices that serving
     configuration — framing, payload encoding, loopback round trips,
     credit bookkeeping — on top of the same scan, and its
     ``bytes_on_wire`` / ``frames_sent`` counters (from the client's
-    codec-level accounting) make the codec wins visible next to the
-    timings.  All figures are **CPU seconds** (baseline: process time;
+    codec-level accounting) sit next to the timings.  All figures are
+    **CPU seconds** (baseline: process time;
     scenarios: client process time + server procfs delta) so a noisy
     neighbour on a shared host cannot masquerade as protocol overhead;
     ``wall_us_per_item`` rides along per scenario for context.
@@ -683,8 +680,8 @@ def run_remote_loopback(n_items: int = 200000, chunk: int = 16000,
     baseline and every scenario take the best of ``repeats`` passes so
     the ratios compare floors, not scheduler noise.  The top-level
     ``remote_us_per_item`` / ``remote_overhead_ratio`` track the
-    ``tcp-binary`` scenario — the production path the regression guard
-    holds at <= 2.0x.
+    ``tcp`` scenario — the production path the regression guard holds
+    at <= 2.0x.
     """
     from repro.hub import StreamHub
 
@@ -708,14 +705,13 @@ def run_remote_loopback(n_items: int = 200000, chunk: int = 16000,
 
     # -- the same pushes through each serving configuration ------------
     measured = {}
-    for transport, wire in scenarios:
-        run = _loopback_scenario(data, chunk, params, transport, wire,
+    for transport in scenarios:
+        run = _loopback_scenario(data, chunk, params, transport,
                                  repeats=repeats)
         us = 1e6 * run["cpu_seconds"] / n_items
         stats = run["stats"]
-        measured[f"{transport}-{wire}"] = {
+        measured[transport] = {
             "transport": transport,
-            "wire": stats["wire"],
             "us_per_item": round(us, 4),
             "wall_us_per_item": round(
                 1e6 * run["wall_seconds"] / n_items, 4),
@@ -725,8 +721,7 @@ def run_remote_loopback(n_items: int = 200000, chunk: int = 16000,
             "frames_received": stats["frames_received"],
         }
 
-    headline = measured.get("tcp-binary") \
-        or next(iter(measured.values()))
+    headline = measured.get("tcp") or next(iter(measured.values()))
     return {
         "items": n_items,
         "chunk": chunk,

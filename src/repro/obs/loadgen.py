@@ -30,25 +30,26 @@ import time
 
 import numpy as np
 
+from repro.chaos.retry import RetryPolicy
 from repro.errors import RemoteError, ReproError
 from repro.obs.metrics import LATENCY_MS_BUCKETS, Histogram
 from repro.server.client import AsyncRemoteClient
 
+#: Worker clients' default policy: the SDK's, with sleeps capped at
+#: 50 ms so a crash-heavy fleet redials promptly.
+_WORKER_RETRY = RetryPolicy(max_delay=0.05)
+
 
 async def _worker(index: int, host: str, port: int, *, tenant: str,
-                  transport: str, wire: str, data: np.ndarray,
+                  transport: str, data: np.ndarray,
                   pushes: int, chunk: int, crash_every: int, params,
                   histogram: Histogram, totals: dict,
                   verify_bits: bool, retry=None) -> None:
     """One client: open, feed (crashing on cadence), finish, verify."""
-    if retry is None:
-        client = AsyncRemoteClient(host, port, tenant=tenant,
-                                   transport=transport, wire=wire,
-                                   reconnect_delay=0.05)
-    else:
-        client = AsyncRemoteClient(host, port, tenant=tenant,
-                                   transport=transport, wire=wire,
-                                   retry=retry)
+    client = AsyncRemoteClient(host, port, tenant=tenant,
+                               transport=transport,
+                               retry=retry if retry is not None
+                               else _WORKER_RETRY)
     key = b"loadgen-%d" % index
     try:
         session = await client.protect(f"churn-{index}", "1", key,
@@ -108,7 +109,6 @@ async def run_loadgen_async(*, workers: int = 4, pushes: int = 8,
                             host: "str | None" = None,
                             port: "int | None" = None,
                             transport: str = "tcp",
-                            wire: str = "binary",
                             tenant: str = "loadgen",
                             verify_bits: bool = False,
                             retry=None) -> dict:
@@ -134,8 +134,7 @@ async def run_loadgen_async(*, workers: int = 4, pushes: int = 8,
     if port is None:
         from repro.server.service import StreamService
         service = StreamService(host="127.0.0.1", port=0,
-                                transport=transport, max_wire=wire,
-                                checkpoint_every=4)
+                                transport=transport, checkpoint_every=4)
         try:
             host, port = await service.start()
         except OSError as exc:
@@ -147,9 +146,9 @@ async def run_loadgen_async(*, workers: int = 4, pushes: int = 8,
         # address fails fast with one error instead of a pile of
         # per-worker dial failures.
         probe = AsyncRemoteClient(host, port, tenant=tenant,
-                                  transport=transport, wire=wire,
-                                  reconnect_attempts=2,
-                                  reconnect_delay=0.1)
+                                  transport=transport,
+                                  retry=RetryPolicy(attempts=2,
+                                                    max_delay=0.1))
         try:
             await probe.connect()
             await probe.close()
@@ -164,7 +163,7 @@ async def run_loadgen_async(*, workers: int = 4, pushes: int = 8,
     started = time.perf_counter()
     outcomes = await asyncio.gather(
         *[_worker(index, host, port, tenant=tenant, transport=transport,
-                  wire=wire, data=data[index * span:(index + 1) * span],
+                  data=data[index * span:(index + 1) * span],
                   pushes=pushes, chunk=chunk, crash_every=crash_every,
                   params=params, histogram=histogram, totals=totals,
                   verify_bits=verify_bits, retry=retry)
@@ -184,7 +183,6 @@ async def run_loadgen_async(*, workers: int = 4, pushes: int = 8,
         "chunk": chunk,
         "crash_every": crash_every,
         "transport": transport,
-        "wire": wire,
         "items": totals["items"],
         "pushes": totals["pushes"],
         "crashes": totals["crashes"],

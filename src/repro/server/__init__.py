@@ -4,10 +4,9 @@ This package turns the in-process streaming library into a deployable
 service (the SecureStreams / Gabriel middleware shape):
 
 * :mod:`repro.server.protocol` — a versioned frame protocol
-  (HELLO/OPEN/PUSH/FLUSH/RESULT/CREDIT/ERROR/BYE) with strict decode
-  validation and negotiated frame codecs: wire 1 (JSON bodies, base64
-  float64 payloads — the original bytes) and wire 2 (struct-packed
-  binary bodies with raw little-endian float64 payloads);
+  (HELLO/OPEN/PUSH/FLUSH/RESULT/CREDIT/ERROR/STATUS/BYE) with strict
+  decode validation and one binary frame codec: struct-packed bodies
+  with raw little-endian float64 payloads;
 * :mod:`repro.server.transports` — pluggable message transports
   (``tcp`` length-prefixed streams, ``websocket`` RFC 6455) registered
   under the ``transport`` registry kind;
@@ -41,20 +40,13 @@ from repro.server.client import (
     RemoteSession,
 )
 from repro.server.protocol import (
+    CODEC,
     CODECS,
     MAX_FRAME_BYTES,
-    MAX_WIRE,
     PROTOCOL_VERSION,
     BinaryFrameCodec,
-    FrameCodec,
-    FrameDecoder,
-    JsonFrameCodec,
-    codec_for,
     decode_array,
-    decode_frame,
     encode_array,
-    encode_frame,
-    resolve_wire,
 )
 from repro.server.service import StreamService
 from repro.server.transports import (
@@ -70,20 +62,13 @@ __all__ = [
     "AsyncRemoteSession",
     "RemoteClient",
     "RemoteSession",
+    "CODEC",
     "CODECS",
     "MAX_FRAME_BYTES",
-    "MAX_WIRE",
     "PROTOCOL_VERSION",
     "BinaryFrameCodec",
-    "FrameCodec",
-    "FrameDecoder",
-    "JsonFrameCodec",
-    "codec_for",
     "decode_array",
-    "decode_frame",
     "encode_array",
-    "encode_frame",
-    "resolve_wire",
     "StreamService",
     "TcpTransport",
     "Transport",

@@ -123,16 +123,29 @@ class AsyncRemoteSession:
                 else _EMPTY)
         return flat[offset:]
 
-    def _accept_output(self, values: np.ndarray) -> None:
-        """Deduplicate one incoming values payload into the pending buffer.
+    def _accept_output(self, frame: dict) -> None:
+        """Deduplicate one RESULT's values into the pending buffer.
 
-        ``values`` starts at server output position ``_server_pos``;
+        The values start at server output position ``_server_pos``;
         anything before ``_delivered`` was already handed to the caller
         (a redelivery after resume) and is dropped.  Novel items land in
         ``_pending`` — never in transient local state — so a connection
         loss between receiving an output and returning it to the caller
         cannot discard it (it is drained by the next feed/finish).
+
+        The values must end exactly at the frame's ``items_out``.  A
+        body torn inside its payload on an 8-byte boundary still
+        decodes, just with fewer values; that is wire damage, raised as
+        :class:`ConnectionResetError` so the caller's resume path
+        fetches the range again instead of silently losing items.
         """
+        values = frame["values"]
+        if frame["items_out"] - values.size != self._server_pos:
+            raise ConnectionResetError(
+                f"wire damage: result for stream {self.stream_id!r} "
+                f"carries {values.size} values ending at output "
+                f"{frame['items_out']}, but the next output is "
+                f"{self._server_pos}")
         skip = min(max(self._delivered - self._server_pos, 0), values.size)
         self._server_pos += values.size
         novel = values[skip:]
@@ -195,58 +208,37 @@ class AsyncRemoteClient:
         The :class:`~repro.chaos.retry.RetryPolicy` governing
         reconnects: attempt budget, exponential backoff with full
         jitter, per-operation timeout and overall deadline.  The
-        default rides out a server restart with ``--recover``.
-        Connection-level failures retry; semantic failures (wrong key,
-        protocol violations, server-reported errors) fail fast.
-    reconnect_attempts, reconnect_delay:
-        Legacy knobs kept for compatibility: when given (and ``retry``
-        is not), they shape an equivalent policy via
-        :meth:`RetryPolicy.legacy`.
+        default (``RetryPolicy()``) rides out a server restart with
+        ``--recover``.  Connection-level failures retry; semantic
+        failures (wrong key, protocol violations, server-reported
+        errors) fail fast.
     push_items:
         Maximum items per PUSH frame; larger chunks are split and
         pipelined inside the server's credit window.
     transport:
         Registered transport name (``tcp``, ``websocket``, or a
         plugin); must match what the server listens on.
-    wire:
-        Wire version to request at HELLO — a codec name (``"json"``,
-        ``"binary"``) or number.  The server grants at most its own
-        maximum, and the client follows the grant.  ``"json"``/1 skips
-        negotiation entirely: the HELLO bytes (and every frame after)
-        are identical to a pre-negotiation client, which is also what
-        talking to an old server requires.
     """
 
     def __init__(self, host: str, port: int, *, tenant: str = "default",
                  retry: "RetryPolicy | None" = None,
-                 reconnect_attempts: "int | None" = None,
-                 reconnect_delay: "float | None" = None,
                  push_items: int = 4096,
                  transport: str = "tcp",
-                 wire: "int | str" = protocol.MAX_WIRE,
                  max_frame_bytes: int = protocol.MAX_FRAME_BYTES) -> None:
         self._host = host
         self._port = int(port)
         self._tenant = tenant
-        if retry is None:
-            retry = RetryPolicy.legacy(
-                40 if reconnect_attempts is None else reconnect_attempts,
-                0.25 if reconnect_delay is None else reconnect_delay)
-        self._retry = retry
+        self._retry = retry if retry is not None else RetryPolicy()
         self._push_items = max(1, int(push_items))
         self._max_frame_bytes = int(max_frame_bytes)
         self._transport_name = transport
         self._transport = build_transport(transport)
-        self._wire = protocol.resolve_wire(wire)
         self._channel: "TransportConnection | None" = None
-        self._codec = protocol.codec_for(protocol.WIRE_JSON)
         self._lock = asyncio.Lock()
         self._sessions: "dict[str, AsyncRemoteSession]" = {}
         self._credits: "dict[str, int]" = {}
         self.server_credits: "int | None" = None
         self.reconnects = 0
-        #: Wire version granted by the server on the live connection.
-        self.negotiated_wire: "int | None" = None
         self.bytes_sent = 0
         self.bytes_received = 0
         self.frames_sent = 0
@@ -320,22 +312,19 @@ class AsyncRemoteClient:
         """
         channel = self._channel
         self._channel = None
-        self._codec = protocol.codec_for(protocol.WIRE_JSON)
-        self.negotiated_wire = None
         if channel is not None:
             channel.abort()
 
     def wire_stats(self) -> dict:
-        """Traffic snapshot: negotiated axes plus byte/frame counters.
+        """Traffic snapshot: the transport plus byte/frame counters.
 
-        ``bytes_*`` count frame bodies (what the codec produced), so
-        the numbers compare codecs rather than transports' per-message
-        framing overhead; the throughput bench records them per
-        scenario as ``bytes_on_wire``.
+        ``bytes_*`` count frame bodies (what the codec produced),
+        without the transport's per-message framing overhead; the
+        throughput bench records them per scenario as
+        ``bytes_on_wire``.
         """
         return {
             "transport": self._transport_name,
-            "wire": self.negotiated_wire,
             "bytes_sent": self.bytes_sent,
             "bytes_received": self.bytes_received,
             "frames_sent": self.frames_sent,
@@ -349,8 +338,6 @@ class AsyncRemoteClient:
             except (ConnectionError, OSError):
                 pass
         self._channel = None
-        self._codec = protocol.codec_for(protocol.WIRE_JSON)
-        self.negotiated_wire = None
 
     async def _dial(self) -> None:
         """One reconnect cycle under the retry policy.
@@ -389,25 +376,11 @@ class AsyncRemoteClient:
                     connector = asyncio.wait_for(connector,
                                                  policy.op_timeout)
                 self._channel = await connector
-                hello = {"type": "hello",
-                         "version": protocol.PROTOCOL_VERSION,
-                         "tenant": self._tenant}
-                # wire=1 sends (and expects back) the exact
-                # pre-negotiation HELLO — old servers reject unknown
-                # fields, so the request field only appears when a
-                # newer codec is actually wanted.
-                if self._wire > protocol.WIRE_JSON:
-                    hello["wire"] = self._wire
-                await self._send(hello)
+                await self._send({"type": "hello",
+                                  "version": protocol.PROTOCOL_VERSION,
+                                  "tenant": self._tenant})
                 reply = await self._expect("hello")
                 self.server_credits = reply.get("credits", 1)
-                granted = reply.get("wire", protocol.WIRE_JSON)
-                if granted > self._wire:
-                    raise ProtocolError(
-                        f"server granted wire version {granted}, newer "
-                        f"than the requested {self._wire}")
-                self._codec = protocol.codec_for(granted)
-                self.negotiated_wire = granted
                 await self._resume_sessions()
                 return
             except _CONNECTION_ERRORS + _TIMEOUT_ERRORS as exc:
@@ -431,8 +404,8 @@ class AsyncRemoteClient:
             for piece in _split(replay, self._push_items):
                 # Replay sequentially (credit-safe); novel outputs land
                 # in the session's pending buffer for its next feed().
-                frame = await self._push_one(session, piece)
-                session._accept_output(frame["values"])
+                session._accept_output(
+                    await self._push_one(session, piece))
 
     async def _open(self, session: AsyncRemoteSession,
                     resume: bool) -> dict:
@@ -449,14 +422,12 @@ class AsyncRemoteClient:
         await self._send(frame)
         result = await self._expect("result", op="open",
                                     stream_id=session.stream_id)
+        # Redelivery of outputs we never acknowledged (e.g. a result
+        # frame lost to a crash) starts exactly at our delivery
+        # watermark, so everything in it is novel.
+        session._server_pos = session._delivered
         if "values" in result:
-            # Redelivery of outputs we never acknowledged (e.g. a
-            # result frame lost to a crash): they start exactly at our
-            # delivery watermark, so everything is novel.
-            replay = result["values"]
-            session._delivered += replay.size
-            if replay.size:
-                session._pending.append(replay)
+            session._accept_output(result)
         session._server_pos = result["items_out"]
         return result
 
@@ -464,7 +435,8 @@ class AsyncRemoteClient:
     async def _send(self, frame: dict) -> None:
         if self._channel is None:
             raise ConnectionResetError("not connected")
-        body = self._codec.encode(frame, max_bytes=self._max_frame_bytes)
+        body = protocol.CODEC.encode(frame,
+                                     max_bytes=self._max_frame_bytes)
         self.bytes_sent += len(body)
         self.frames_sent += 1
         await self._channel.write_message(body)
@@ -505,7 +477,7 @@ class AsyncRemoteClient:
         self.bytes_received += len(body)
         self.frames_received += 1
         try:
-            frame = self._codec.decode(body, source="server")
+            frame = protocol.CODEC.decode(body, source="server")
         except ProtocolError as exc:
             # An undecodable body on an intact transport message: the
             # frame was torn in flight — same recovery as a dead link.
@@ -593,7 +565,7 @@ class AsyncRemoteClient:
                     f"expected push result seq "
                     f"{expected[0] if expected else '?'}, got {frame}")
             expected.popleft()
-            session._accept_output(frame["values"])
+            session._accept_output(frame)
 
     # -- session operations (called by AsyncRemoteSession) ---------------
     async def _register(self, stream_id: str, kind: str, key,
@@ -664,10 +636,10 @@ class AsyncRemoteClient:
                                       "delivered": session._delivered})
                     frame = await self._expect("result", op="flush",
                                                stream_id=session.stream_id)
+                    session._accept_output(frame)
                     break
                 except _CONNECTION_ERRORS:
                     await self._reconnect()
-            session._accept_output(frame["values"])
             if "detection" in frame:
                 session._detection = frame["detection"]
             session._finished = True

@@ -1,20 +1,13 @@
-"""Wire protocol: negotiated frame codecs over pluggable transports.
+"""Wire protocol: binary frames over pluggable transports.
 
 Every message on a ``repro.server`` connection is one **frame**.  How a
-frame becomes bytes is the job of a :class:`FrameCodec`, negotiated per
-connection at HELLO (see *Wire negotiation* below); how those bytes are
-delimited on the network is the job of a transport
-(:mod:`repro.server.transports`).  Two codecs ship:
-
-* ``wire=1`` (:class:`JsonFrameCodec`, name ``"json"``) — UTF-8 JSON
-  bodies with base64-encoded float64 payloads.  Kept byte-for-byte
-  identical to the original protocol, so version-1 clients interoperate
-  unmodified.
-* ``wire=2`` (:class:`BinaryFrameCodec`, name ``"binary"``) — a
-  struct-packed header, a small JSON *meta* section for the cold
-  fields, and the ``values`` payload as **raw little-endian float64
-  bytes** decoded straight into an array view: no base64, no per-item
-  Python objects on the hot path.
+frame becomes bytes is the job of the one frame codec,
+:class:`BinaryFrameCodec`; how those bytes are delimited on the network
+is the job of a transport (:mod:`repro.server.transports`).  A frame
+body is a struct-packed header, a small JSON *meta* section for the
+cold fields, and the ``values`` payload as **raw little-endian float64
+bytes** decoded straight into an array view: no base64, no per-item
+Python objects on the hot path.
 
 Logically a frame is a mapping whose ``type`` field names one of nine
 frame types:
@@ -22,7 +15,7 @@ frame types:
 ========  =========  =====================================================
 type      direction  meaning
 ========  =========  =====================================================
-hello     both       version/tenant negotiation; the server's reply
+hello     both       version/tenant handshake; the server's reply
                      carries the per-stream credit grant
 open      c -> s     register (or resume) one keyed stream
 push      c -> s     one chunk of stream values; consumes one credit
@@ -36,20 +29,16 @@ status    both       observability: a bare request (c -> s) is answered
 bye       both       orderly goodbye; the server's drain notice
 ========  =========  =====================================================
 
-Numeric payloads round-trip **bit-identically** on both codecs — the
-whole point of the library.  Codec-decoded frames carry ``values`` as a
-float64 :class:`numpy.ndarray`; the module-level wire-1 helpers
-(:func:`encode_frame` / :func:`decode_frame` / :func:`read_frame`)
-preserve the original base64-text representation for compatibility.
+Numeric payloads round-trip **bit-identically** — the whole point of
+the library.  Decoded frames carry ``values`` as a float64
+:class:`numpy.ndarray`, and frames handed to the codec must too.
 
-**Wire negotiation.**  The HELLO exchange always speaks wire 1 (JSON),
-so any client can open the conversation.  A client that can speak a
-newer codec adds ``wire: <max version>`` to its HELLO; the server
-answers with the version it granted (``min(requested, server max)``)
-and both sides switch codecs for every subsequent frame.  A HELLO
-without ``wire`` pins the connection to wire 1 and the server's reply
-omits the field — a version-1 client never sees a field it does not
-know.
+**Versioning.**  Every frame, HELLO included, travels through the
+binary codec; there is no negotiation.  HELLO carries
+:data:`PROTOCOL_VERSION` and the server refuses any other version with
+a ``version`` error.  A protocol-1 peer opens with a JSON body, whose
+first byte is no valid frame-type code, so its HELLO fails to decode
+and the connection is refused.
 
 Client-to-server frames (``open``/``push``/``flush``) may carry a
 ``delivered`` field: the count of output items the client has safely
@@ -63,43 +52,39 @@ wrong field types, negative counters, truncated or oversized frames and
 undecodable payloads all raise :class:`repro.errors.ProtocolError` —
 never a raw ``KeyError`` from frame plumbing, and never a silently
 half-understood frame (fuzzed in ``tests/unit/test_protocol.py``,
-mirroring the checkpoint deserialization contract).
+mirroring the checkpoint deserialization contract).  One cut no codec
+can see — a body torn inside its payload on an 8-byte boundary decodes
+with fewer values — is caught by the client, which requires a RESULT's
+values to end exactly at its ``items_out``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import base64
 import binascii
 import json
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ProtocolError
 
 #: Protocol version spoken by this library; HELLO frames carry it and
-#: mismatches are rejected during the handshake.
-PROTOCOL_VERSION = 1
+#: mismatches are rejected during the handshake.  Version 2 dropped the
+#: JSON frame encoding of version 1: every frame is binary.
+PROTOCOL_VERSION = 2
 
-#: Wire (codec) versions: 1 = JSON frames, 2 = binary frames.
-WIRE_JSON = 1
-WIRE_BINARY = 2
-
-#: Default upper bound on one frame's JSON body, in bytes.  At 8 MiB a
-#: frame holds ~780k float64 items after base64 — far beyond a sane
-#: chunk — so anything larger is a corrupt or hostile length prefix.
+#: Default upper bound on one frame body, in bytes.  At 8 MiB a frame
+#: holds ~1M float64 items — far beyond a sane chunk — so anything
+#: larger is a corrupt or hostile length prefix.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 #: Absolute ceiling on any declared frame size, regardless of how large
 #: a caller sets its ``max_bytes``.  A hostile peer declaring a huge
 #: length must hit a clean :class:`ProtocolError` *before* any body
-#: buffering can grow toward an OOM — even on a decoder misconfigured
+#: buffering can grow toward an OOM — even on a transport misconfigured
 #: with an enormous limit.
 HARD_MAX_FRAME_BYTES = 64 * 1024 * 1024
-
-_HEADER = struct.Struct(">I")
 
 
 def effective_max_bytes(max_bytes: int) -> int:
@@ -107,13 +92,13 @@ def effective_max_bytes(max_bytes: int) -> int:
     ceiling (:data:`HARD_MAX_FRAME_BYTES`)."""
     return min(int(max_bytes), HARD_MAX_FRAME_BYTES)
 
+
 #: Per-frame-type field contract: (required, optional).  Unknown fields
 #: are rejected — a field this library does not understand would
 #: otherwise be dropped silently (same strictness as checkpoints).
 _FRAME_FIELDS = {
     "hello": (frozenset({"type", "version"}),
-              frozenset({"tenant", "server", "credits", "wire",
-                         "transport"})),
+              frozenset({"tenant", "server", "credits"})),
     "open": (frozenset({"type", "stream_id", "kind", "key"}),
              frozenset({"watermark", "wm_length", "params", "encoding",
                         "encoding_options", "require_labels",
@@ -140,8 +125,6 @@ _FRAME_FIELDS = {
 _FIELD_TYPES = {
     "type": str,
     "version": int,
-    "wire": int,
-    "transport": str,
     "tenant": str,
     "server": str,
     "credits": int,
@@ -158,7 +141,7 @@ _FIELD_TYPES = {
     "resume": bool,
     "seq": int,
     "delivered": int,
-    "values": (str, np.ndarray),
+    "values": np.ndarray,
     "op": str,
     "items_in": int,
     "items_out": int,
@@ -171,7 +154,7 @@ _FIELD_TYPES = {
 }
 
 #: Integer fields that must be non-negative.
-_NON_NEGATIVE = frozenset({"version", "wire", "credits", "seq",
+_NON_NEGATIVE = frozenset({"version", "credits", "seq",
                            "wm_length", "items_in", "items_out",
                            "delivered"})
 
@@ -220,12 +203,8 @@ def validate_frame(frame, *, source: str = "frame") -> dict:
                 f"{getattr(expected, '__name__', expected)}, got bool"
             )
         if not isinstance(value, expected):
-            if isinstance(expected, type):
-                expected_name = expected.__name__
-            elif expected == (int, float):
-                expected_name = "number"
-            else:
-                expected_name = " or ".join(t.__name__ for t in expected)
+            expected_name = (expected.__name__
+                             if isinstance(expected, type) else "number")
             raise ProtocolError(
                 f"{source}: field {name!r} must be {expected_name}, got "
                 f"{type(value).__name__}"
@@ -241,144 +220,15 @@ def validate_frame(frame, *, source: str = "frame") -> dict:
     return frame
 
 
-def _encode_json_body(frame: dict, *, max_bytes: int) -> bytes:
-    """Serialize one validated frame to its wire-1 JSON body bytes.
-
-    An ndarray ``values`` field is converted to its base64 text form in
-    place (same field position), so callers may hold payloads as arrays
-    and still emit bytes identical to a base64-text caller.
-    """
-    if isinstance(frame.get("values"), np.ndarray):
-        frame = {**frame, "values": encode_array(frame["values"])}
-    validate_frame(frame, source="encode")
-    try:
-        body = json.dumps(frame, separators=(",", ":")).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"frame is not JSON-serializable: {exc}") from exc
-    limit = effective_max_bytes(max_bytes)
-    if len(body) > limit:
-        raise ProtocolError(
-            f"frame of {len(body)} bytes exceeds the {limit}-byte "
-            "frame limit; push smaller chunks"
-        )
-    return body
-
-
-def encode_frame(frame: dict, *, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """Serialize one validated frame to its length-prefixed wire-1 form."""
-    body = _encode_json_body(frame, max_bytes=max_bytes)
-    return _HEADER.pack(len(body)) + body
-
-
-def decode_frame(body: bytes, *, source: str = "frame") -> dict:
-    """Decode and validate one frame body (the bytes after the prefix)."""
-    try:
-        decoded = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(
-            f"{source}: frame body is not valid UTF-8 JSON "
-            f"(truncated or corrupt?): {exc}"
-        ) from exc
-    return validate_frame(decoded, source=source)
-
-
-@dataclass
-class FrameDecoder:
-    """Incremental (sans-IO) frame decoder for arbitrary byte arrivals.
-
-    Feed raw bytes in any fragmentation; complete frames come out
-    validated.  The decoder enforces the frame-size limit *from the
-    length prefix alone* — clamped to the absolute
-    :data:`HARD_MAX_FRAME_BYTES` ceiling even if ``max_bytes`` is set
-    absurdly high — so an oversized or hostile prefix is rejected with
-    a clean :class:`ProtocolError` before any buffering of its body can
-    grow toward an OOM.  Used by the fuzz tests and by any sync
-    transport.
-
-    ``codec`` selects the body decoder: ``None`` keeps the legacy
-    wire-1 behaviour (``values`` stays base64 text); a
-    :class:`FrameCodec` decodes bodies through that codec (``values``
-    becomes an ndarray).
-    """
-
-    max_bytes: int = MAX_FRAME_BYTES
-    codec: "FrameCodec | None" = None
-    _buffer: bytes = b""
-
-    def feed(self, data: bytes) -> "list[dict]":
-        """Consume ``data``; return every frame completed by it."""
-        self._buffer += bytes(data)
-        limit = effective_max_bytes(self.max_bytes)
-        frames = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                return frames
-            (length,) = _HEADER.unpack_from(self._buffer)
-            if length > limit:
-                raise ProtocolError(
-                    f"frame length prefix {length} exceeds the "
-                    f"{limit}-byte frame limit (corrupt stream?)"
-                )
-            if len(self._buffer) < _HEADER.size + length:
-                return frames
-            body = self._buffer[_HEADER.size:_HEADER.size + length]
-            self._buffer = self._buffer[_HEADER.size + length:]
-            if self.codec is None:
-                frames.append(decode_frame(body))
-            else:
-                frames.append(self.codec.decode(body))
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered toward an incomplete frame (0 at a boundary)."""
-        return len(self._buffer)
-
-
-async def read_frame(reader: asyncio.StreamReader, *,
-                     max_bytes: int = MAX_FRAME_BYTES) -> "dict | None":
-    """Read one frame from an asyncio stream; ``None`` on clean EOF.
-
-    EOF *inside* a frame (mid-prefix or mid-body) raises
-    :class:`ProtocolError` — the peer died mid-sentence, which callers
-    must treat as a lost connection, not a clean goodbye.
-    """
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError(
-            "connection closed mid-frame (inside the length prefix)"
-        ) from exc
-    (length,) = _HEADER.unpack(header)
-    limit = effective_max_bytes(max_bytes)
-    if length > limit:
-        raise ProtocolError(
-            f"frame length prefix {length} exceeds the {limit}-byte "
-            "frame limit (corrupt stream?)"
-        )
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(
-            f"connection closed mid-frame ({len(exc.partial)} of "
-            f"{length} body bytes)"
-        ) from exc
-    return decode_frame(body)
-
-
-async def write_frame(writer: asyncio.StreamWriter, frame: dict, *,
-                      max_bytes: int = MAX_FRAME_BYTES) -> None:
-    """Validate, serialize and send one frame, honouring backpressure."""
-    writer.write(encode_frame(frame, max_bytes=max_bytes))
-    await writer.drain()
-
-
 # ----------------------------------------------------------------------
 # payload encoding
 # ----------------------------------------------------------------------
 def encode_array(values) -> str:
-    """Encode a float64 array as base64 text (bit-exact round-trip)."""
+    """Encode a float64 array as base64 text (bit-exact round-trip).
+
+    The replay sidecar persists its output chunks in this form; frames
+    carry raw float64 bytes instead (:class:`BinaryFrameCodec`).
+    """
     array = np.asarray(values, dtype="<f8").ravel()
     return base64.b64encode(array.tobytes()).decode("ascii")
 
@@ -435,58 +285,8 @@ def decode_key(text: str, *, source: str = "frame") -> bytes:
 
 
 # ----------------------------------------------------------------------
-# frame codecs (the negotiated wire versions)
+# the frame codec
 # ----------------------------------------------------------------------
-class FrameCodec:
-    """One wire version: frame dict <-> frame body bytes.
-
-    Codecs are transport-agnostic — they see one frame *body* at a
-    time; message delimiting (length prefixes, WebSocket frames) is the
-    transport's job (:mod:`repro.server.transports`).  Decoded frames
-    carry ``values`` as a float64 ndarray; frames given to
-    :meth:`encode` may hold ``values`` as an ndarray or as wire-1
-    base64 text.
-    """
-
-    #: Numeric wire version carried in HELLO negotiation.
-    wire: int = 0
-    #: Human name used by ``--wire`` flags and bench scenario labels.
-    name: str = ""
-
-    def encode(self, frame: dict, *,
-               max_bytes: int = MAX_FRAME_BYTES) -> bytes:
-        """Validate and serialize one frame to its body bytes."""
-        raise NotImplementedError
-
-    def decode(self, body: bytes, *, source: str = "frame") -> dict:
-        """Decode and validate one frame body; ``values`` -> ndarray."""
-        raise NotImplementedError
-
-
-class JsonFrameCodec(FrameCodec):
-    """Wire version 1: UTF-8 JSON bodies, base64 float64 payloads.
-
-    The bytes this codec produces are identical to the original
-    (pre-negotiation) protocol, so a version-1 peer cannot tell it is
-    talking to a multi-codec implementation.
-    """
-
-    wire = WIRE_JSON
-    name = "json"
-
-    def encode(self, frame: dict, *,
-               max_bytes: int = MAX_FRAME_BYTES) -> bytes:
-        """Serialize one frame to JSON body bytes (arrays -> base64)."""
-        return _encode_json_body(frame, max_bytes=max_bytes)
-
-    def decode(self, body: bytes, *, source: str = "frame") -> dict:
-        """Decode a JSON body; the ``values`` field becomes an ndarray."""
-        frame = decode_frame(body, source=source)
-        if "values" in frame:
-            frame["values"] = decode_array(frame["values"], source=source)
-        return frame
-
-
 #: Binary frame body header: frame-type code (uint8), flags (uint8,
 #: bit 0 = a values payload follows the meta section), meta length
 #: (uint32 little-endian).
@@ -497,8 +297,12 @@ _TYPE_CODES = {name: code + 1
 _TYPE_NAMES = {code: name for name, code in _TYPE_CODES.items()}
 
 
-class BinaryFrameCodec(FrameCodec):
-    """Wire version 2: struct-packed header + raw float64 payload.
+class BinaryFrameCodec:
+    """Frame dict <-> frame body bytes: struct header + raw float64.
+
+    The codec is transport-agnostic — it sees one frame *body* at a
+    time; message delimiting (length prefixes, WebSocket frames) is the
+    transport's job (:mod:`repro.server.transports`).
 
     Body layout::
 
@@ -512,23 +316,18 @@ class BinaryFrameCodec(FrameCodec):
     The payload decodes with :func:`numpy.frombuffer` straight into an
     array view over the received body — no base64, no per-item Python
     objects — which is what drops the remote-serving overhead to near
-    the in-process cost.  Decoding is as strict as wire 1: bad type
-    codes, truncated headers, meta that is not a JSON object, meta
-    smuggling ``type``/``values`` fields, a payload that is not a whole
-    number of float64 items, or a payload on a flagless frame all raise
+    the in-process cost.  Decoding is strict: bad type codes,
+    truncated headers, meta that is not a JSON object, meta smuggling
+    ``type``/``values`` fields, a payload that is not a whole number of
+    float64 items, or a payload on a flagless frame all raise
     :class:`ProtocolError`.
     """
-
-    wire = WIRE_BINARY
-    name = "binary"
 
     def encode(self, frame: dict, *,
                max_bytes: int = MAX_FRAME_BYTES) -> bytes:
         """Serialize one frame to its binary body bytes."""
         validate_frame(frame, source="encode")
         values = frame.get("values")
-        if isinstance(values, str):
-            values = decode_array(values, source="encode")
         meta = {name: value for name, value in frame.items()
                 if name not in ("type", "values")}
         try:
@@ -612,38 +411,9 @@ class BinaryFrameCodec(FrameCodec):
         return validate_frame(frame, source=source)
 
 
-#: Wire version -> codec instance (codecs are stateless singletons).
-CODECS = {codec.wire: codec
-          for codec in (JsonFrameCodec(), BinaryFrameCodec())}
+#: The codec every frame travels through.
+CODEC = BinaryFrameCodec()
 
-#: The newest wire version this library speaks.
-MAX_WIRE = max(CODECS)
-
-
-def codec_for(wire: int) -> FrameCodec:
-    """The codec for a numeric wire version; unknown versions raise."""
-    codec = CODECS.get(wire)
-    if codec is None:
-        raise ProtocolError(
-            f"unknown wire version {wire!r}; this library speaks "
-            f"{sorted(CODECS)}"
-        )
-    return codec
-
-
-def resolve_wire(wire) -> int:
-    """Normalize a ``--wire`` value (name or number) to a wire version.
-
-    Accepts codec names (``"json"``, ``"binary"``) and their numeric
-    versions; anything else raises :class:`ProtocolError` listing the
-    valid spellings.
-    """
-    if isinstance(wire, str) and not wire.isdigit():
-        for codec in CODECS.values():
-            if codec.name == wire:
-                return codec.wire
-        raise ProtocolError(
-            f"unknown wire codec {wire!r}; valid names are "
-            f"{sorted(codec.name for codec in CODECS.values())}"
-        )
-    return codec_for(int(wire)).wire
+#: Protocol version -> codec.  One entry; ``perfbench/tracing.py``
+#: wraps the ``encode``/``decode`` methods of the classes listed here.
+CODECS = {PROTOCOL_VERSION: CODEC}

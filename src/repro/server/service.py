@@ -8,9 +8,9 @@ its own :class:`~repro.hub.StreamHub` and
 sockets: it exchanges frame bodies through a named
 :class:`~repro.server.transports.Transport` (``tcp``, ``websocket``,
 or any plugin registered under the ``transport`` registry kind), and
-each connection's frame *encoding* is a negotiated
-:class:`~repro.server.protocol.FrameCodec` — JSON (wire 1, the
-original bytes) or binary (wire 2, raw float64 payloads).
+every frame is encoded by the one binary codec
+(:class:`~repro.server.protocol.BinaryFrameCodec`, raw float64
+payloads).
 
 Design points:
 
@@ -35,13 +35,6 @@ Design points:
   handler) the service checkpoints every stream, notifies each
   connected client with ``BYE {reason: "drain"}``, closes, and the CLI
   exits 0.
-* **wire negotiation** — the HELLO exchange always travels as wire-1
-  JSON.  A client that can speak a newer codec adds ``wire: N`` to its
-  HELLO; the server grants ``min(N, its own max)`` and echoes the
-  grant (plus the transport name) in the reply, and both sides switch
-  codecs for every subsequent frame.  A client that sends no ``wire``
-  field gets a reply without one — byte-identical to the
-  pre-negotiation protocol — and the connection stays on JSON.
 * **crash recovery** — started with ``recover=True`` over an existing
   store, the service re-admits each checkpointed stream lazily when its
   client reconnects and re-supplies the key (checkpoints are key-free,
@@ -107,52 +100,48 @@ def _key_fingerprint(tenant: str, stream_id: str, key: bytes) -> str:
 
 
 class _Connection:
-    """Per-connection state: tenant binding, codec, streams, credits."""
+    """Per-connection state: tenant binding, streams, credits."""
 
-    def __init__(self, channel: TransportConnection,
-                 max_bytes: int) -> None:
+    def __init__(self, channel: TransportConnection, max_bytes: int,
+                 metrics: MetricsRegistry, transport: str) -> None:
         self.channel = channel
-        self.codec: protocol.FrameCodec = protocol.codec_for(
-            protocol.WIRE_JSON)
         self.max_bytes = max_bytes
         self.tenant: "str | None" = None
         self.hub: "StreamHub | None" = None
         #: stream_id -> remaining PUSH credits on this connection.
         self.credits: "dict[str, int]" = {}
         self.name = channel.peer
-        # Per-transport×wire traffic instruments, bound by the service
-        # after the handshake settles the codec (``None`` until then —
-        # HELLO frames are not attributed to a negotiated wire).
-        self.m_frames_in = None
-        self.m_frames_out = None
-        self.m_bytes_in = None
-        self.m_bytes_out = None
+        self.m_frames_in = metrics.counter("server_frames_in_total",
+                                           transport=transport)
+        self.m_frames_out = metrics.counter("server_frames_out_total",
+                                            transport=transport)
+        self.m_bytes_in = metrics.counter("server_bytes_in_total",
+                                          transport=transport)
+        self.m_bytes_out = metrics.counter("server_bytes_out_total",
+                                           transport=transport)
 
     async def read(self) -> "dict | None":
         """Read and decode one frame; ``None`` on clean end-of-stream."""
         body = await self.channel.read_message()
         if body is None:
             return None
-        if self.m_bytes_in is not None:
-            self.m_frames_in.inc()
-            self.m_bytes_in.inc(len(body))
-        return self.codec.decode(body, source=f"frame from {self.name}")
+        self.m_frames_in.inc()
+        self.m_bytes_in.inc(len(body))
+        return protocol.CODEC.decode(body, source=f"frame from {self.name}")
 
     async def send(self, frame: dict) -> None:
         """Encode (validating) and write one frame to this client."""
-        body = self.codec.encode(frame, max_bytes=self.max_bytes)
-        if self.m_bytes_out is not None:
-            self.m_frames_out.inc()
-            self.m_bytes_out.inc(len(body))
+        body = protocol.CODEC.encode(frame, max_bytes=self.max_bytes)
+        self.m_frames_out.inc()
+        self.m_bytes_out.inc(len(body))
         await self.channel.write_message(body)
 
     async def send_many(self, frames: "list[dict]") -> None:
         """Encode and write several frames in one transport batch."""
-        bodies = [self.codec.encode(frame, max_bytes=self.max_bytes)
+        bodies = [protocol.CODEC.encode(frame, max_bytes=self.max_bytes)
                   for frame in frames]
-        if self.m_bytes_out is not None:
-            self.m_frames_out.inc(len(bodies))
-            self.m_bytes_out.inc(sum(len(body) for body in bodies))
+        self.m_frames_out.inc(len(bodies))
+        self.m_bytes_out.inc(sum(len(body) for body in bodies))
         await self.channel.write_messages(bodies)
 
     async def close(self) -> None:
@@ -175,10 +164,6 @@ class StreamService:
     transport:
         Registered transport name (``tcp`` or ``websocket``; see the
         ``transport`` rows of ``repro list``).
-    max_wire:
-        Newest wire version (codec name or number) this server will
-        grant during HELLO negotiation.  Clients always may negotiate
-        down; ``"json"``/1 pins the server to the original encoding.
     store_path:
         Root directory for durable per-tenant stores (each tenant gets
         ``store_path/<quoted-tenant>``).  ``None`` keeps checkpoints in
@@ -220,7 +205,6 @@ class StreamService:
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
                  transport: str = "tcp",
-                 max_wire: "int | str" = protocol.MAX_WIRE,
                  store_path: "str | Path | None" = None,
                  store_backend: str = "directory",
                  credits: int = DEFAULT_CREDITS,
@@ -246,7 +230,6 @@ class StreamService:
             self._transport = ChaosTransport(
                 inner=self._transport, injector=fault_injector,
                 side="server")
-        self._max_wire = protocol.resolve_wire(max_wire)
         self._store_path = Path(store_path) if store_path is not None else None
         self._store_backend = store_backend
         self._credits = int(credits)
@@ -284,8 +267,6 @@ class StreamService:
         self.frames_in = 0
         self.pushes = 0
         self.errors = 0
-        #: wire version -> connections that negotiated it (lifetime).
-        self.wire_sessions: "dict[int, int]" = {}
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         m = self.metrics
         self._m_connections_total = m.counter("server_connections_total")
@@ -400,17 +381,11 @@ class StreamService:
     def status(self) -> dict:
         """Operator snapshot: what this server speaks and has served.
 
-        Surfaces the negotiated axes — transport name, the newest wire
-        version the server grants, and how many connections negotiated
-        each wire version — next to the lifetime frame counters, so
-        ``repro serve``'s ready/drained lines can show what a running
-        server actually speaks.
+        The transport name next to the lifetime frame counters; the
+        ``server`` section of :meth:`status_snapshot`.
         """
         return {
             "transport": self._transport_name,
-            "max_wire": self._max_wire,
-            "wire_sessions": {str(wire): count for wire, count
-                              in sorted(self.wire_sessions.items())},
             "connections": len(self._connections),
             "tenants": sorted(self._hubs),
             "frames_in": self.frames_in,
@@ -640,7 +615,8 @@ class StreamService:
     # ------------------------------------------------------------------
     async def _handle_connection(self,
                                  channel: TransportConnection) -> None:
-        connection = _Connection(channel, self._max_frame_bytes)
+        connection = _Connection(channel, self._max_frame_bytes,
+                                 self.metrics, self._transport_name)
         self._connections.add(connection)
         self._m_connections_total.inc()
         try:
@@ -654,12 +630,11 @@ class StreamService:
             await connection.close()
 
     async def _handshake(self, connection: _Connection) -> bool:
-        """HELLO exchange: bind the tenant, negotiate the wire codec.
+        """HELLO exchange: check the version, bind the tenant.
 
-        The exchange itself always travels as wire-1 JSON.  The reply
-        carries ``wire``/``transport`` fields only when the client
-        *asked* for a wire version, so a pre-negotiation client — which
-        rejects unknown HELLO fields — receives byte-identical replies.
+        A peer speaking another protocol version is refused: a
+        protocol-1 client's JSON HELLO fails to decode (``protocol``
+        error), a binary HELLO with another version gets ``version``.
         """
         try:
             frame = await connection.read()
@@ -679,39 +654,13 @@ class StreamService:
                 f"server speaks protocol {protocol.PROTOCOL_VERSION}, "
                 f"client sent {frame['version']}")
             return False
-        requested = frame.get("wire")
-        if requested is not None and requested < 1:
-            await self._send_error(
-                connection, "protocol",
-                f"requested wire version must be >= 1, got {requested}")
-            return False
         connection.tenant = frame.get("tenant", "default")
         connection.hub = self.hub_for(connection.tenant)
         from repro import __version__
-        reply = {"type": "hello",
-                 "version": protocol.PROTOCOL_VERSION,
-                 "server": f"repro/{__version__}",
-                 "credits": self._credits}
-        granted = protocol.WIRE_JSON
-        if requested is not None:
-            granted = min(int(requested), self._max_wire)
-            reply["wire"] = granted
-            reply["transport"] = self._transport_name
-        await connection.send(reply)
-        # The reply still went out on the old codec; everything after
-        # it speaks the granted one (on both sides).
-        connection.codec = protocol.codec_for(granted)
-        self.wire_sessions[granted] = self.wire_sessions.get(granted, 0) + 1
-        labels = {"transport": self._transport_name,
-                  "wire": connection.codec.name}
-        m = self.metrics
-        connection.m_frames_in = m.counter("server_frames_in_total",
-                                           **labels)
-        connection.m_frames_out = m.counter("server_frames_out_total",
-                                            **labels)
-        connection.m_bytes_in = m.counter("server_bytes_in_total", **labels)
-        connection.m_bytes_out = m.counter("server_bytes_out_total",
-                                           **labels)
+        await connection.send({"type": "hello",
+                               "version": protocol.PROTOCOL_VERSION,
+                               "server": f"repro/{__version__}",
+                               "credits": self._credits})
         return True
 
     async def _next_frame(self, connection: _Connection) \

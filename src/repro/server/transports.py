@@ -1,11 +1,11 @@
-"""Pluggable transports: message framing under the negotiated codecs.
+"""Pluggable transports: message framing under the frame codec.
 
 The serving engine (:class:`repro.server.service.StreamService`) and
 the client SDK (:mod:`repro.server.client`) are **transport-blind**:
-they exchange whole frame bodies (bytes produced/consumed by a
-:class:`repro.server.protocol.FrameCodec`) through the small interface
-in this module, and transports are resolved by name through the
-central :class:`repro.registry.ComponentRegistry` under the
+they exchange whole frame bodies (bytes produced/consumed by
+:class:`repro.server.protocol.BinaryFrameCodec`) through the small
+interface in this module, and transports are resolved by name through
+the central :class:`repro.registry.ComponentRegistry` under the
 ``transport`` kind — the same pattern stores follow, and the Gabriel
 shape of one engine behind ``websocket_server``/``zeromq_server``
 front-ends.
@@ -14,8 +14,7 @@ Two transports ship:
 
 ``tcp``
     A 4-byte big-endian length prefix followed by the frame body over
-    a plain asyncio TCP stream.  Byte-for-byte the original protocol,
-    so version-1 peers interoperate unmodified.
+    a plain asyncio TCP stream.
 ``websocket``
     RFC 6455 over asyncio streams (no third-party dependency): an HTTP
     Upgrade handshake, then each frame body travels as one binary

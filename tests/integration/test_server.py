@@ -27,19 +27,48 @@ import numpy as np
 import pytest
 
 from repro import DetectionSession, WatermarkParams, watermark_stream
+from repro.chaos import RetryPolicy
 from repro.errors import RemoteError
 from repro.server import protocol
 from repro.server.client import RemoteClient
-from repro.server.service import StreamService
+from repro.server.service import StreamService, _Connection
+from repro.server.transports import TcpTransport
 from repro.streams.generators import TemperatureSensorGenerator
 
 PARAMS = WatermarkParams(phi=5)
 KEY = b"server-test-key"
 
 
+#: Reconnect budget for tests that kill the server under a client.
+PATIENT = RetryPolicy(attempts=80, max_delay=0.1)
+
+
 def _params_dict() -> dict:
     from repro.core.serialize import params_to_dict
     return params_to_dict(PARAMS)
+
+
+class RawPeer:
+    """A hand-driven client: single frames through the codec over TCP,
+    for conversations the SDK would never hold."""
+
+    def __init__(self, channel):
+        self.channel = channel
+
+    @classmethod
+    async def connect(cls, host, port) -> "RawPeer":
+        return cls(await TcpTransport().connect(host, port))
+
+    async def send(self, frame: dict) -> None:
+        await self.channel.write_message(protocol.CODEC.encode(frame))
+
+    async def read(self) -> dict:
+        return protocol.CODEC.decode(await self.channel.read_message())
+
+    async def hello(self) -> dict:
+        await self.send({"type": "hello",
+                         "version": protocol.PROTOCOL_VERSION})
+        return await self.read()
 
 
 class ServerHarness:
@@ -188,8 +217,7 @@ class TestCrashRecovery:
         expected = local.result()
 
         host, port = harness.service.address
-        client = RemoteClient(host, port, reconnect_delay=0.1,
-                              reconnect_attempts=80)
+        client = RemoteClient(host, port, retry=PATIENT)
         try:
             embed = client.protect("pipe", "1", b"embed-key", params=PARAMS)
             detect = client.detect("court", 2, KEY, params=PARAMS)
@@ -242,7 +270,7 @@ class TestCrashRecovery:
         service._on_push = sabotage.__get__(service, StreamService)
         try:
             with RemoteClient(host, port, push_items=200,
-                              reconnect_delay=0.1) as client:
+                              retry=RetryPolicy(max_delay=0.1)) as client:
                 session = client.protect("mid-feed", "1", KEY,
                                          params=PARAMS)
                 out = [session.feed(values)]  # 20 pipelined pushes
@@ -262,32 +290,27 @@ class TestCrashRecovery:
         persisted replay sidecar — not lost."""
         values = TemperatureSensorGenerator(eta=60, seed=35).generate(2000)
         host, port = harness.service.address
-        payload = [protocol.encode_array(values[:1000]),
-                   protocol.encode_array(values[1000:])]
 
         async def push_then_vanish():
-            reader, writer = await asyncio.open_connection(host, port)
-            await protocol.write_frame(writer, {
-                "type": "hello", "version": protocol.PROTOCOL_VERSION})
-            await protocol.read_frame(reader)
-            await protocol.write_frame(writer, {
+            peer = await RawPeer.connect(host, port)
+            await peer.hello()
+            await peer.send({
                 "type": "open", "stream_id": "lossy",
                 "kind": "protection", "key": protocol.encode_key(KEY),
                 "watermark": "1",
                 "params": _params_dict()})
-            await protocol.read_frame(reader)  # open result
-            await protocol.read_frame(reader)  # credit grant
-            await protocol.write_frame(writer, {
+            await peer.read()  # open result
+            await peer.read()  # credit grant
+            await peer.send({
                 "type": "push", "stream_id": "lossy", "seq": 0,
-                "delivered": 0, "values": payload[0]})
-            first = await protocol.read_frame(reader)
-            await protocol.read_frame(reader)  # credit
-            out0 = protocol.decode_array(first["values"])
+                "delivered": 0, "values": values[:1000]})
+            out0 = (await peer.read())["values"]
+            await peer.read()  # credit
             # Second push acknowledges the first result; its own result
             # is never read — the crash eats it.
-            await protocol.write_frame(writer, {
+            await peer.send({
                 "type": "push", "stream_id": "lossy", "seq": 1,
-                "delivered": int(out0.size), "values": payload[1]})
+                "delivered": int(out0.size), "values": values[1000:]})
             await asyncio.sleep(0.3)  # let the server process + ckpt
             return out0
 
@@ -297,31 +320,64 @@ class TestCrashRecovery:
         host, port = harness.service.address
 
         async def resume_and_collect(delivered):
-            reader, writer = await asyncio.open_connection(host, port)
-            await protocol.write_frame(writer, {
-                "type": "hello", "version": protocol.PROTOCOL_VERSION})
-            await protocol.read_frame(reader)
-            await protocol.write_frame(writer, {
+            peer = await RawPeer.connect(host, port)
+            await peer.hello()
+            await peer.send({
                 "type": "open", "stream_id": "lossy",
                 "kind": "protection", "key": protocol.encode_key(KEY),
                 "watermark": "1", "resume": True,
                 "delivered": delivered,
                 "params": _params_dict()})
-            opened = await protocol.read_frame(reader)
-            await protocol.read_frame(reader)  # credit grant
+            opened = await peer.read()
+            await peer.read()  # credit grant
             assert opened["items_in"] == 2000  # checkpointed past push 2
-            replay = protocol.decode_array(opened.get("values", ""))
-            await protocol.write_frame(writer, {
+            replay = opened["values"]
+            await peer.send({
                 "type": "flush", "stream_id": "lossy",
                 "delivered": delivered + int(replay.size)})
-            flushed = await protocol.read_frame(reader)
-            tail = protocol.decode_array(flushed["values"])
+            tail = (await peer.read())["values"]
             return replay, tail
 
         replay, tail = asyncio.run(
             asyncio.wait_for(resume_and_collect(int(out0.size)), 15))
         marked = np.concatenate([out0, replay, tail])
         reference, _ = watermark_stream(values, "1", KEY, params=PARAMS)
+        assert np.array_equal(marked, reference)
+
+    def test_torn_flush_result_is_refetched_not_lost(self, harness,
+                                                      monkeypatch):
+        """A flush RESULT torn inside its payload on an 8-byte boundary
+        still decodes, with half its values.  The client must treat it
+        as wire damage, reconnect and collect the missing tail: output
+        bit-identical, every item delivered exactly once."""
+        values = TemperatureSensorGenerator(eta=60, seed=36).generate(3000)
+        host, port = harness.service.address
+        send = _Connection.send
+        torn = []
+
+        async def tearing_send(self, frame):
+            if frame["type"] == "result" and frame["op"] == "flush" \
+                    and frame["values"].size >= 2 and not torn:
+                # What the chaos truncate fault does: one complete
+                # transport message carrying a prefix of the body, then
+                # the connection dies.
+                cut = frame["values"].size // 2
+                body = protocol.CODEC.encode(frame)
+                await self.channel.write_message(body[:len(body) - 8 * cut])
+                torn.append(cut)
+                self.abort()
+                raise ConnectionResetError("torn flush result")
+            await send(self, frame)
+
+        monkeypatch.setattr(_Connection, "send", tearing_send)
+        with RemoteClient(host, port, retry=RetryPolicy(max_delay=0.1)) \
+                as client:
+            session = client.protect("torn", "1", KEY, params=PARAMS)
+            marked = feed_all(session, values)
+            reconnects = client.reconnects
+        assert torn and reconnects >= 1
+        reference, _ = watermark_stream(values, "1", KEY, params=PARAMS)
+        assert marked.size == values.size
         assert np.array_equal(marked, reference)
 
     def test_recover_refused_without_flag(self, harness, tmp_path):
@@ -354,15 +410,13 @@ class TestCrashRecovery:
         assert counters["items"] == 1000
 
 
-@pytest.fixture(params=["tcp-json", "tcp-binary",
-                        "websocket-json", "websocket-binary"])
+@pytest.fixture(params=["tcp", "websocket"])
 def matrix(request, tmp_path):
-    """A running server + client kwargs for one transport x wire cell."""
-    transport, wire = request.param.split("-")
+    """A running server + client kwargs for one transport."""
     server = ServerHarness(tmp_path, checkpoint_every=1, credits=3,
-                           transport=transport)
+                           transport=request.param)
     server.start()
-    yield server, {"transport": transport, "wire": wire}
+    yield server, {"transport": request.param}
     try:
         server.drain()
     except Exception:
@@ -370,11 +424,11 @@ def matrix(request, tmp_path):
     server.stop()
 
 
-class TestTransportWireMatrix:
-    """The core serving contracts on every transport x wire cell."""
+class TestTransportMatrix:
+    """The core serving contracts on every transport."""
 
     def test_round_trip_bit_identical(self, matrix):
-        """Embed + detect through each cell == in-process, bit for bit."""
+        """Embed + detect on each transport == in-process, bit for bit."""
         harness, kwargs = matrix
         values = TemperatureSensorGenerator(eta=60, seed=51).generate(3000)
         reference, _ = watermark_stream(values, "10", KEY, params=PARAMS)
@@ -385,7 +439,6 @@ class TestTransportWireMatrix:
             stats = client._async.wire_stats()
         assert np.array_equal(marked, reference)
         assert stats["transport"] == kwargs["transport"]
-        assert stats["wire"] == protocol.resolve_wire(kwargs["wire"])
         assert stats["frames_sent"] > 0
         assert stats["bytes_received"] > 0
 
@@ -401,12 +454,12 @@ class TestTransportWireMatrix:
         assert remote.wm_estimate() == expected.wm_estimate()
 
     def test_kill_recover_reconnect_resume(self, matrix):
-        """SIGKILL + --recover + reconnect-resume works on every cell."""
+        """SIGKILL + --recover + reconnect-resume works on every
+        transport."""
         harness, kwargs = matrix
         values = TemperatureSensorGenerator(eta=60, seed=52).generate(4000)
         host, port = harness.service.address
-        client = RemoteClient(host, port, reconnect_delay=0.1,
-                              reconnect_attempts=80, **kwargs)
+        client = RemoteClient(host, port, retry=PATIENT, **kwargs)
         try:
             session = client.protect("m-pipe", "1", KEY, params=PARAMS)
             out = [session.feed(values[start:start + 500])
@@ -424,7 +477,7 @@ class TestTransportWireMatrix:
         assert np.array_equal(marked, reference)
 
     def test_graceful_drain_checkpoints(self, matrix):
-        """Drain checkpoints open streams on every cell."""
+        """Drain checkpoints open streams on every transport."""
         harness, kwargs = matrix
         values = TemperatureSensorGenerator(eta=60, seed=53).generate(1500)
         host, port = harness.service.address
@@ -437,85 +490,6 @@ class TestTransportWireMatrix:
         assert "m-drain" in hub.store
         counters = hub.store.entry("m-drain")["state"]["scan"]["counters"]
         assert counters["items"] == 1000
-
-
-class TestWireNegotiation:
-    def test_old_json_client_against_binary_capable_server(self, harness):
-        """A pre-negotiation client: HELLO carries no wire request, the
-        reply must carry no wire fields back (byte-compat), and the
-        whole conversation stays on wire-1 JSON — bit-identical
-        outputs."""
-        values = TemperatureSensorGenerator(eta=60, seed=54).generate(2000)
-        host, port = harness.service.address
-
-        async def legacy_roundtrip():
-            reader, writer = await asyncio.open_connection(host, port)
-            await protocol.write_frame(writer, {
-                "type": "hello", "version": protocol.PROTOCOL_VERSION})
-            hello = await protocol.read_frame(reader)
-            assert "wire" not in hello
-            assert "transport" not in hello
-            await protocol.write_frame(writer, {
-                "type": "open", "stream_id": "legacy",
-                "kind": "protection", "key": protocol.encode_key(KEY),
-                "watermark": "1", "params": _params_dict()})
-            await protocol.read_frame(reader)  # open result
-            await protocol.read_frame(reader)  # credit grant
-            await protocol.write_frame(writer, {
-                "type": "push", "stream_id": "legacy", "seq": 0,
-                "delivered": 0,
-                "values": protocol.encode_array(values)})
-            result = await protocol.read_frame(reader)
-            assert isinstance(result["values"], str)  # base64, not binary
-            await protocol.read_frame(reader)  # credit
-            await protocol.write_frame(writer, {
-                "type": "flush", "stream_id": "legacy",
-                "delivered": result["items_out"]})
-            flushed = await protocol.read_frame(reader)
-            writer.close()
-            return np.concatenate([
-                protocol.decode_array(result["values"]),
-                protocol.decode_array(flushed["values"])])
-
-        marked = asyncio.run(asyncio.wait_for(legacy_roundtrip(), 15))
-        reference, _ = watermark_stream(values, "1", KEY, params=PARAMS)
-        assert np.array_equal(marked, reference)
-        assert harness.service.wire_sessions.get(1, 0) >= 1
-
-    def test_json_pinned_server_downgrades_binary_client(self, tmp_path):
-        """A server capped at wire 1 grants 1 to a binary-asking client,
-        and the session still round-trips bit-identically."""
-        server = ServerHarness(tmp_path, checkpoint_every=1,
-                               max_wire="json")
-        server.start()
-        try:
-            values = TemperatureSensorGenerator(eta=60,
-                                                seed=55).generate(1500)
-            host, port = server.service.address
-            with RemoteClient(host, port, wire="binary") as client:
-                session = client.protect("capped", "1", KEY, params=PARAMS)
-                marked = feed_all(session, values)
-                assert client._async.negotiated_wire == 1
-            reference, _ = watermark_stream(values, "1", KEY,
-                                            params=PARAMS)
-            assert np.array_equal(marked, reference)
-        finally:
-            try:
-                server.drain()
-            except Exception:
-                pass
-            server.stop()
-
-    def test_status_reports_transport_and_wire(self, harness):
-        """The operator status surfaces the negotiated axes."""
-        host, port = harness.service.address
-        with RemoteClient(host, port, wire="binary") as client:
-            client.protect("st", "1", KEY, params=PARAMS)
-            status = harness.service.status()
-        assert status["transport"] == "tcp"
-        assert status["max_wire"] == protocol.MAX_WIRE
-        assert status["wire_sessions"].get("2") == 1
-        assert status["tenants"] == ["default"]
 
 
 class TestFlowControlAndErrors:
@@ -545,26 +519,24 @@ class TestFlowControlAndErrors:
         service = harness.service
 
         async def overpush():
-            reader, writer = await asyncio.open_connection(host, port)
-            await protocol.write_frame(writer, {
-                "type": "hello", "version": protocol.PROTOCOL_VERSION})
-            hello = await protocol.read_frame(reader)
+            peer = await RawPeer.connect(host, port)
+            hello = await peer.hello()
             assert hello["credits"] == 3
-            await protocol.write_frame(writer, {
+            await peer.send({
                 "type": "open", "stream_id": "greedy",
                 "kind": "protection", "key": protocol.encode_key(KEY),
                 "watermark": "1"})
-            frames = [await protocol.read_frame(reader)
+            frames = [await peer.read()
                       for _ in range(2)]  # open result + credit grant
             assert {frame["type"] for frame in frames} \
                 == {"result", "credit"}
             (connection,) = service._connections
             connection.credits["greedy"] = 0  # window exhausted
-            await protocol.write_frame(writer, {
+            await peer.send({
                 "type": "push", "stream_id": "greedy", "seq": 0,
-                "values": protocol.encode_array(np.zeros(4))})
+                "values": np.zeros(4)})
             while True:
-                frame = await protocol.read_frame(reader)
+                frame = await peer.read()
                 if frame["type"] == "error":
                     return frame
 
@@ -591,16 +563,14 @@ class TestFlowControlAndErrors:
         client.close()
 
         async def steal():
-            reader, writer = await asyncio.open_connection(host, port)
-            await protocol.write_frame(writer, {
-                "type": "hello", "version": protocol.PROTOCOL_VERSION})
-            await protocol.read_frame(reader)
-            await protocol.write_frame(writer, {
+            peer = await RawPeer.connect(host, port)
+            await peer.hello()
+            await peer.send({
                 "type": "open", "stream_id": "keyed",
                 "kind": "protection",
                 "key": protocol.encode_key(b"wrong-key"),
                 "watermark": "1", "resume": True})
-            return await protocol.read_frame(reader)
+            return await peer.read()
 
         frame = asyncio.run(asyncio.wait_for(steal(), 15))
         assert frame["type"] == "error"
@@ -623,23 +593,41 @@ class TestFlowControlAndErrors:
         host, port = harness.service.address
 
         async def bad_hello():
-            reader, writer = await asyncio.open_connection(host, port)
-            await protocol.write_frame(writer, {"type": "hello",
-                                                "version": 999})
-            return await protocol.read_frame(reader)
+            peer = await RawPeer.connect(host, port)
+            await peer.send({"type": "hello", "version": 999})
+            return await peer.read()
 
         frame = asyncio.run(asyncio.wait_for(bad_hello(), 15))
         assert frame["type"] == "error"
         assert frame["code"] == "version"
+
+    def test_protocol_1_json_hello_refused(self, harness):
+        """A protocol-1 peer opens with a JSON body; it does not decode
+        as a binary frame, so the server answers with a ``protocol``
+        error and closes instead of serving it."""
+        host, port = harness.service.address
+
+        async def json_hello():
+            peer = await RawPeer.connect(host, port)
+            await peer.channel.write_message(
+                b'{"type":"hello","version":1}')
+            refusal = await peer.read()
+            return refusal, await peer.channel.read_message()
+
+        frame, after = asyncio.run(asyncio.wait_for(json_hello(), 15))
+        assert frame["type"] == "error"
+        assert frame["code"] == "protocol"
+        assert after is None
+        assert harness.service.status()["connections"] == 0
 
 
 class TestObservability:
     """The STATUS surface: live snapshots on every cell, even draining."""
 
     def test_status_matrix_reports_labeled_traffic(self, matrix):
-        """STATUS round-trips on every transport x wire cell and the
-        snapshot carries non-zero per-cell frame counters plus the
-        tenant's per-stream health stats."""
+        """STATUS round-trips on every transport and the snapshot
+        carries non-zero per-transport frame counters plus the tenant's
+        per-stream health stats."""
         harness, kwargs = matrix
         values = TemperatureSensorGenerator(eta=60, seed=61).generate(1500)
         host, port = harness.service.address
@@ -661,9 +649,7 @@ class TestObservability:
         assert stream["checkpoint_lag"] == 0  # checkpoint_every=1
         assert stream["last_checkpoint_ts"] is not None
 
-        wire = protocol.codec_for(
-            protocol.resolve_wire(kwargs["wire"])).name
-        cell = f"transport={kwargs['transport']},wire={wire}"
+        cell = f"transport={kwargs['transport']}"
         counters = snapshot["metrics"]["counters"]
         assert counters[f"server_frames_in_total{{{cell}}}"] > 0
         assert counters[f"server_frames_out_total{{{cell}}}"] > 0
@@ -672,6 +658,15 @@ class TestObservability:
             "hub_push_us{tenant=default}"]
         assert push_us["count"] >= 3
         assert sum(push_us["buckets"].values()) == push_us["count"]
+
+    def test_status_reports_transport(self, harness):
+        """The operator status names the transport it serves."""
+        host, port = harness.service.address
+        with RemoteClient(host, port) as client:
+            client.protect("st", "1", KEY, params=PARAMS)
+            status = harness.service.status()
+        assert status["transport"] == "tcp"
+        assert status["tenants"] == ["default"]
 
     def test_status_while_draining_gets_final_snapshot(self, harness):
         """ISSUE 9 bugfix guard: a STATUS request racing a drain must be
@@ -684,19 +679,16 @@ class TestObservability:
             session.feed(values)
 
             async def status_racing_drain():
-                reader, writer = await asyncio.open_connection(host, port)
-                await protocol.write_frame(writer, {
-                    "type": "hello",
-                    "version": protocol.PROTOCOL_VERSION})
-                await protocol.read_frame(reader)
+                peer = await RawPeer.connect(host, port)
+                await peer.hello()
                 drain = asyncio.ensure_future(
                     harness.service.drain("sigterm"))
                 # The drain is now racing our request down the same
                 # connection; the grace window must cover it.
-                await protocol.write_frame(writer, {"type": "status"})
+                await peer.send({"type": "status"})
                 frames = []
                 while True:
-                    frame = await protocol.read_frame(reader)
+                    frame = await peer.read()
                     frames.append(frame)
                     if frame["type"] == "bye":
                         break
@@ -716,7 +708,8 @@ class TestObservability:
         redials, resumes, and the output stays bit-identical."""
         values = TemperatureSensorGenerator(eta=60, seed=63).generate(2000)
         host, port = harness.service.address
-        with RemoteClient(host, port, reconnect_delay=0.05) as client:
+        with RemoteClient(host, port,
+                          retry=RetryPolicy(max_delay=0.05)) as client:
             session = client.protect("crashy", "1", KEY, params=PARAMS)
             out = [session.feed(values[:500])]
             client.simulate_crash()

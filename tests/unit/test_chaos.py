@@ -283,12 +283,6 @@ class TestRetryPolicy:
         assert bumped.base_delay == 0.2
         assert bumped.deadline == 7.0
 
-    def test_legacy_mapping_preserves_patience(self):
-        policy = RetryPolicy.legacy(10, 0.5)
-        assert policy.attempts == 10
-        assert policy.max_delay == 0.5
-        assert policy.deadline >= 10 * 0.5
-
     @pytest.mark.parametrize("error", [
         ConnectionResetError("peer died"),
         BrokenPipeError("mid-feed"),

@@ -448,8 +448,7 @@ class TestObservabilityCommands:
         assert snapshot["metrics"]["enabled"] is True
         assert "\n" in pretty.strip()  # indent=2
 
-        code = main(["status", f"{host}:{port}", "--json",
-                     "--wire", "json"])
+        code = main(["status", f"{host}:{port}", "--json"])
         assert code == 0
         compact = capsys.readouterr().out
         assert len(compact.strip().splitlines()) == 1
@@ -606,6 +605,24 @@ class TestChaosAndSuperviseCommands:
         assert policy.attempts == 7
         assert policy.base_delay == RetryPolicy().base_delay
         assert policy.deadline == RetryPolicy().deadline
+
+    def test_documented_default_attempts_yield_the_sdk_policy(self):
+        """Passing ``--retry-attempts 40``, the documented default, must
+        not reshape the policy: the result equals what a client built
+        with no ``retry=`` dials with (0.25 s sleeps, 30 s deadline)."""
+        import argparse
+
+        from repro.cli import _retry_policy
+        from repro.server.client import AsyncRemoteClient
+
+        args = argparse.Namespace(retry_attempts=40, retry_base_delay=None,
+                                  retry_max_delay=None,
+                                  retry_deadline=None,
+                                  retry_op_timeout=None)
+        sdk = AsyncRemoteClient("127.0.0.1", 7707)._retry
+        assert _retry_policy(args) == sdk
+        assert (sdk.attempts, sdk.base_delay, sdk.max_delay, sdk.deadline,
+                sdk.op_timeout) == (40, 0.05, 0.25, 30.0, 30.0)
 
     def test_serve_missing_chaos_plan_is_clean_error(self, tmp_path,
                                                      capsys):

@@ -4,11 +4,13 @@ Mirrors the checkpoint deserialization fuzz suites: any malformed,
 truncated, oversized, wrong-version or junk-typed frame must raise a
 clean :class:`repro.errors.ProtocolError` — never a raw ``KeyError`` /
 ``struct.error`` from the framing plumbing, and never a silently
-half-understood frame.
+half-understood frame.  One truncation the codec cannot see — a body
+cut inside its payload on an 8-byte boundary — is pinned separately.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import struct
 
@@ -19,39 +21,34 @@ from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.server.protocol import (
+    CODEC,
     CODECS,
     HARD_MAX_FRAME_BYTES,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    WIRE_BINARY,
-    WIRE_JSON,
     BinaryFrameCodec,
-    FrameDecoder,
-    JsonFrameCodec,
-    codec_for,
     decode_array,
-    decode_frame,
     decode_key,
     effective_max_bytes,
     encode_array,
-    encode_frame,
     encode_key,
-    resolve_wire,
     validate_frame,
 )
+from repro.server.transports import _TcpConnection
 
 HELLO = {"type": "hello", "version": PROTOCOL_VERSION, "tenant": "default"}
 PUSH = {"type": "push", "stream_id": "s1", "seq": 0,
-        "values": encode_array([0.25, -0.125])}
+        "values": np.array([0.25, -0.125])}
 FRAMES = [
     HELLO,
-    {"type": "hello", "version": 1, "server": "repro/1.0.0", "credits": 4},
+    {"type": "hello", "version": PROTOCOL_VERSION, "server": "repro/1.0.0",
+     "credits": 4},
     {"type": "open", "stream_id": "s1", "kind": "protection",
      "key": encode_key(b"k1"), "watermark": "101", "resume": True},
     PUSH,
     {"type": "flush", "stream_id": "s1"},
     {"type": "result", "op": "push", "stream_id": "s1", "seq": 3,
-     "values": encode_array([]), "items_in": 12, "items_out": 7},
+     "values": np.array([]), "items_in": 12, "items_out": 7},
     {"type": "credit", "stream_id": "s1", "credits": 1},
     {"type": "error", "code": "flow", "message": "no credits",
      "stream_id": "s1"},
@@ -62,7 +59,7 @@ FRAMES = [
         "tenants": {"default": {"streams": 1}},
         "metrics": {"enabled": True,
                     "counters": {"server_frames_in_total"
-                                 "{transport=tcp,wire=binary}": 7},
+                                 "{transport=tcp}": 7},
                     "histograms": {"hub_push_us": {"count": 2,
                                                    "p99": 125.0}}}}},
 ]
@@ -72,20 +69,10 @@ class TestRoundTrip:
     @pytest.mark.parametrize("frame", FRAMES,
                              ids=[f["type"] for f in FRAMES])
     def test_encode_decode_roundtrip(self, frame):
-        """Every frame shape survives the wire byte-for-byte."""
-        wire = encode_frame(frame)
-        (length,) = struct.unpack(">I", wire[:4])
-        assert length == len(wire) - 4
-        assert decode_frame(wire[4:]) == frame
-
-    def test_incremental_decoder_any_fragmentation(self):
-        """Frames split at every possible byte boundary still decode."""
-        wire = encode_frame(HELLO) + encode_frame(PUSH)
-        for cut in range(len(wire) + 1):
-            decoder = FrameDecoder()
-            frames = decoder.feed(wire[:cut]) + decoder.feed(wire[cut:])
-            assert frames == [HELLO, PUSH]
-            assert decoder.pending_bytes == 0
+        """Every frame shape survives the wire byte-for-byte: encoding
+        a decoded body reproduces the same bytes."""
+        body = CODEC.encode(frame)
+        assert CODEC.encode(CODEC.decode(body)) == body
 
     def test_array_roundtrip_bit_identical(self):
         values = np.array([0.1, -0.30000000000000004, 1e-308, 0.0, -0.5])
@@ -141,15 +128,28 @@ class TestStrictValidation:
             validate_frame({"type": "flush", "stream_id": ""})
 
     def test_oversized_frame_rejected_at_encode(self):
-        frame = {"type": "push", "stream_id": "s1", "seq": 0,
-                 "values": "A" * 256}
+        """The cap covers the meta section too, not just payloads."""
+        frame = {"type": "status", "payload": {"blob": "A" * 256}}
         with pytest.raises(ProtocolError, match="exceeds"):
-            encode_frame(frame, max_bytes=128)
+            CODEC.encode(frame, max_bytes=128)
 
     def test_oversized_length_prefix_rejected_before_buffering(self):
-        decoder = FrameDecoder(max_bytes=1024)
-        with pytest.raises(ProtocolError, match="length prefix"):
-            decoder.feed(struct.pack(">I", 2 ** 31) + b"x")
+        """The TCP framing refuses a hostile length prefix on sight: the
+        body byte behind it is never read."""
+        class _Writer:
+            def get_extra_info(self, name):
+                return None
+
+        async def scenario():
+            reader = asyncio.StreamReader()
+            reader.feed_data(struct.pack(">I", 2 ** 31) + b"x")
+            reader.feed_eof()
+            channel = _TcpConnection(reader, _Writer(), 1024)
+            with pytest.raises(ProtocolError, match="length prefix"):
+                await channel.read_message()
+            return await reader.read()
+
+        assert asyncio.run(asyncio.wait_for(scenario(), 15)) == b"x"
 
     def test_default_limit_is_sane(self):
         assert MAX_FRAME_BYTES >= 1024 * 1024
@@ -158,31 +158,42 @@ class TestStrictValidation:
 class TestDecodeFuzz:
     """Hostile bytes and junk values into the decoder."""
 
-    @given(st.binary(max_size=64))
-    def test_arbitrary_bytes_never_crash_raw(self, data):
-        """Random bodies either decode to a valid frame or raise clean."""
+    @given(st.sampled_from(FRAMES), st.booleans(), st.integers(0, 64),
+           st.binary(max_size=64))
+    def test_arbitrary_bytes_never_crash_raw(self, frame, has_values,
+                                             meta_len, data):
+        """Raw bytes behind a well-formed header reach the meta and
+        payload parsers; they decode to a frame of the header's type
+        or raise clean."""
+        flags = 0x01 if has_values else 0x00
+        body = (bytes(CODEC.encode(frame)[:1])
+                + struct.pack("<BI", flags, min(meta_len, len(data)))
+                + data)
         try:
-            decode_frame(data)
+            decoded = CODEC.decode(body)
         except ProtocolError:
-            pass
-
-    @given(st.binary(min_size=1, max_size=200))
-    def test_incremental_decoder_survives_garbage(self, data):
-        decoder = FrameDecoder(max_bytes=1024)
-        try:
-            decoder.feed(data)
-        except ProtocolError:
-            pass
+            return
+        assert decoded["type"] == frame["type"]
 
     @pytest.mark.parametrize("frame", FRAMES,
                              ids=[f["type"] for f in FRAMES])
     def test_truncated_bodies_rejected(self, frame):
-        """Every proper prefix of a frame body fails cleanly."""
-        wire = encode_frame(frame)
-        body = wire[4:]
+        """Every proper prefix of a frame body fails cleanly — except a
+        cut inside the payload on an 8-byte boundary, which decodes to
+        the same frame with fewer values.  The codec cannot see that
+        damage; the client's RESULT position check does."""
+        body = CODEC.encode(frame)
+        payload_start = len(body) - 8 * np.size(frame.get("values", ()))
         for cut in range(len(body)):
+            if "values" in frame and cut >= payload_start \
+                    and (cut - payload_start) % 8 == 0:
+                short = CODEC.decode(body[:cut])
+                kept = (cut - payload_start) // 8
+                assert short["values"].tobytes() \
+                    == frame["values"][:kept].tobytes()
+                continue
             with pytest.raises(ProtocolError):
-                decode_frame(body[:cut])
+                CODEC.decode(body[:cut])
 
     @given(st.sampled_from(FRAMES),
            st.sampled_from(["type", "stream_id", "seq", "credits",
@@ -223,90 +234,61 @@ class TestDecodeFuzz:
 
 
 class TestCodecs:
-    """Negotiated wire codecs: equivalence, round-trips, selection."""
-
-    @pytest.mark.parametrize("frame", FRAMES,
-                             ids=[f["type"] for f in FRAMES])
-    def test_json_codec_bodies_byte_identical_to_wire1(self, frame):
-        """Wire 1 through the codec API is the original protocol,
-        byte for byte — an old peer cannot tell the difference."""
-        assert JsonFrameCodec().encode(frame) == encode_frame(frame)[4:]
+    """The binary codec: round-trips, payload layout, registry."""
 
     @pytest.mark.parametrize("frame", FRAMES,
                              ids=[f["type"] for f in FRAMES])
     def test_binary_roundtrip_every_frame_shape(self, frame):
-        """Every frame shape survives wire 2 with float64 bit-identity."""
-        codec = BinaryFrameCodec()
-        decoded = codec.decode(codec.encode(frame))
+        """Every frame shape survives the codec with float64
+        bit-identity."""
+        decoded = CODEC.decode(CODEC.encode(frame))
         expected = dict(frame)
         if "values" in expected:
-            values = decode_array(expected.pop("values"))
+            values = expected.pop("values")
             out = decoded.pop("values")
             assert isinstance(out, np.ndarray) and out.dtype == np.float64
             assert out.tobytes() == values.tobytes()
         assert decoded == expected
 
-    @pytest.mark.parametrize("frame", FRAMES,
-                             ids=[f["type"] for f in FRAMES])
-    def test_codecs_decode_to_the_same_frame(self, frame):
-        """Both codecs express the same frame; only the bytes differ."""
-        json_codec, binary_codec = JsonFrameCodec(), BinaryFrameCodec()
-        via_json = json_codec.decode(json_codec.encode(frame))
-        via_binary = binary_codec.decode(binary_codec.encode(frame))
-        values_json = via_json.pop("values", None)
-        values_binary = via_binary.pop("values", None)
-        assert via_json == via_binary
-        if values_json is not None:
-            assert values_json.tobytes() == values_binary.tobytes()
-
     def test_binary_accepts_ndarray_values(self):
         """Handlers push ndarrays straight through without base64."""
-        codec = BinaryFrameCodec()
         values = np.array([0.1, -2.5, float("inf")])
         frame = {"type": "push", "stream_id": "s1", "seq": 0,
                  "values": values}
-        decoded = codec.decode(codec.encode(frame))
+        decoded = CODEC.decode(CODEC.encode(frame))
         assert decoded["values"].tobytes() == values.tobytes()
 
-    def test_binary_is_smaller_than_json_for_payloads(self):
-        """Dropping base64 is the point: ~25% fewer payload bytes."""
+    def test_payload_is_eight_bytes_per_item(self):
+        """Values travel as raw float64: no base64, no per-item text."""
         frame = {"type": "push", "stream_id": "s1", "seq": 0,
                  "values": np.arange(1000, dtype=np.float64)}
-        assert len(BinaryFrameCodec().encode(frame)) \
-            < 0.8 * len(JsonFrameCodec().encode(frame))
+        assert len(CODEC.encode(frame)) \
+            == len(CODEC.encode({**frame, "values": np.array([])})) + 8000
 
-    def test_codec_for_unknown_wire_rejected(self):
-        with pytest.raises(ProtocolError, match="unknown wire version"):
-            codec_for(99)
-
-    def test_resolve_wire_names_and_numbers(self):
-        assert resolve_wire("json") == WIRE_JSON
-        assert resolve_wire("binary") == WIRE_BINARY
-        assert resolve_wire("1") == WIRE_JSON
-        assert resolve_wire(2) == WIRE_BINARY
-
-    @pytest.mark.parametrize("junk", ["msgpack", "0", 3, "-1"])
-    def test_resolve_wire_rejects_unknown(self, junk):
-        with pytest.raises(ProtocolError):
-            resolve_wire(junk)
+    def test_text_values_rejected(self):
+        """Protocol 2 carries values only as arrays, never as the
+        protocol-1 base64 text."""
+        with pytest.raises(ProtocolError, match="values"):
+            CODEC.encode({**PUSH, "values": encode_array([0.5])})
 
     def test_registry_is_consistent(self):
-        """Every registered codec is reachable by number and by name."""
-        for wire, codec in CODECS.items():
-            assert codec.wire == wire
-            assert codec_for(wire) is codec
-            assert resolve_wire(codec.name) == wire
+        """The protocol version maps to the codec every connection
+        speaks, and each listed codec class defines encode/decode."""
+        assert CODECS == {PROTOCOL_VERSION: CODEC}
+        for codec in CODECS.values():
+            assert "encode" in type(codec).__dict__
+            assert "decode" in type(codec).__dict__
 
 
 def _binary_body(frame=None, **overrides) -> bytearray:
-    """A valid wire-2 body as a mutable bytearray for corruption."""
+    """A valid frame body as a mutable bytearray for corruption."""
     frame = frame or {"type": "push", "stream_id": "s1", "seq": 0,
                       "values": np.array([1.5, -2.5])}
     return bytearray(BinaryFrameCodec().encode(frame, **overrides))
 
 
 class TestBinaryStrictness:
-    """Hostile wire-2 bodies die with clean ProtocolErrors."""
+    """Hostile binary bodies die with clean ProtocolErrors."""
 
     def test_truncated_header_rejected(self):
         with pytest.raises(ProtocolError, match="header"):
@@ -387,30 +369,12 @@ class TestBinaryStrictness:
 
 
 class TestHardFrameCap:
-    """The absolute frame-size ceiling holds whatever callers configure."""
+    """The absolute frame-size ceiling holds whatever callers configure
+    (the transports' length checks: ``tests/unit/test_transports.py``)."""
 
     def test_effective_max_bytes_clamps_to_hard_cap(self):
         assert effective_max_bytes(10**15) == HARD_MAX_FRAME_BYTES
         assert effective_max_bytes(1024) == 1024
-
-    def test_decoder_rejects_hostile_prefix_despite_huge_limit(self):
-        """A giant configured limit cannot disable the hard cap: the
-        prefix alone is rejected before any body bytes buffer."""
-        decoder = FrameDecoder(max_bytes=10**15)
-        with pytest.raises(ProtocolError, match="exceeds"):
-            decoder.feed(struct.pack(">I", HARD_MAX_FRAME_BYTES + 1))
-
-    @given(st.integers(HARD_MAX_FRAME_BYTES + 1, 2**32 - 1))
-    def test_any_over_cap_prefix_rejected(self, length):
-        """Fuzz: every over-cap declared length dies on arrival."""
-        decoder = FrameDecoder(max_bytes=HARD_MAX_FRAME_BYTES)
-        with pytest.raises(ProtocolError, match="exceeds"):
-            decoder.feed(struct.pack(">I", length) + b"x" * 16)
-
-    def test_in_range_prefix_still_buffers(self):
-        decoder = FrameDecoder(max_bytes=10**15)
-        assert decoder.feed(struct.pack(">I", 64) + b"{") == []
-        assert decoder.pending_bytes == 5
 
 
 class TestStatusFrame:
@@ -421,18 +385,14 @@ class TestStatusFrame:
                    "uptime_seconds": 1.5},
         "tenants": {"acme": {"streams": 2}},
         "metrics": {"enabled": True, "counters": {
-            "server_frames_in_total{transport=tcp,wire=binary}": 9}},
+            "server_frames_in_total{transport=tcp}": 9}},
     }}
 
-    @pytest.mark.parametrize("wire", [WIRE_JSON, WIRE_BINARY])
-    def test_nested_snapshot_roundtrips_on_both_codecs(self, wire):
-        codec = codec_for(wire)
-        assert codec.decode(codec.encode(self.STATUS)) == self.STATUS
+    def test_nested_snapshot_roundtrips(self):
+        assert CODEC.decode(CODEC.encode(self.STATUS)) == self.STATUS
 
-    @pytest.mark.parametrize("wire", [WIRE_JSON, WIRE_BINARY])
-    def test_bare_request_roundtrips(self, wire):
-        codec = codec_for(wire)
-        assert codec.decode(codec.encode({"type": "status"})) \
+    def test_bare_request_roundtrips(self):
+        assert CODEC.decode(CODEC.encode({"type": "status"})) \
             == {"type": "status"}
 
     def test_payload_must_be_an_object(self):
@@ -444,7 +404,7 @@ class TestStatusFrame:
             validate_frame({"type": "status", "snapshot": {}})
 
     def test_binary_type_codes_are_frozen(self):
-        """STATUS must not renumber the pre-existing wire-2 type codes.
+        """STATUS must not renumber the pre-existing binary type codes.
 
         Codes are assigned by sorted frame name; "status" sorts after
         every earlier name, so it MUST be the last code.  A frame type

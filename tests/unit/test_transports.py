@@ -14,12 +14,20 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ProtocolError, ReproError
+from repro.server.protocol import (
+    CODEC,
+    HARD_MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
+)
 from repro.server.transports import (
     TcpTransport,
     WebSocketTransport,
     _apply_mask,
+    _TcpConnection,
     build_transport,
     websocket_accept,
 )
@@ -49,6 +57,26 @@ def ws_frame(opcode: int, payload: bytes = b"", *, fin: bool = True,
         header += mask
         payload = _apply_mask(payload, mask)
     return bytes(header) + payload
+
+
+class _NoWriter:
+    """Write side of an in-memory channel: reads only, no peer name."""
+
+    def get_extra_info(self, name):
+        return None
+
+
+def tcp_channel(data: bytes = b"", *, max_bytes: int, eof: bool = True):
+    """A TCP message channel reading ``data`` from memory.
+
+    Returns ``(channel, reader)``; feed more bytes through ``reader``.
+    Must be called inside a running event loop.
+    """
+    reader = asyncio.StreamReader()
+    reader.feed_data(data)
+    if eof:
+        reader.feed_eof()
+    return _TcpConnection(reader, _NoWriter(), max_bytes), reader
 
 
 class TestWebSocketAccept:
@@ -215,6 +243,84 @@ class TestTcpChannel:
                 await server.wait_closed()
 
         run(scenario())
+
+    def test_split_at_any_byte_boundary_reassembles(self):
+        """Two frames cut at every possible byte boundary still arrive
+        as the same two messages."""
+        bodies = [CODEC.encode({"type": "hello",
+                                "version": PROTOCOL_VERSION}),
+                  CODEC.encode({"type": "push", "stream_id": "s1",
+                                "seq": 0, "values": np.array([0.25])})]
+        wire = b"".join(struct.pack(">I", len(body)) + body
+                        for body in bodies)
+
+        async def scenario(cut):
+            channel, reader = tcp_channel(wire[:cut], max_bytes=1 << 20,
+                                          eof=False)
+            first = asyncio.ensure_future(channel.read_message())
+            await asyncio.sleep(0)
+            reader.feed_data(wire[cut:])
+            reader.feed_eof()
+            return [await first, await channel.read_message(),
+                    await channel.read_message()]
+
+        for cut in range(len(wire) + 1):
+            assert run(scenario(cut)) == bodies + [None]
+
+    @given(st.binary(min_size=1, max_size=200))
+    def test_garbage_bytes_never_crash(self, data):
+        """Fuzz: any byte stream yields messages that decode or raise
+        ProtocolError, then a clean end — nothing rawer."""
+        async def scenario():
+            channel, _ = tcp_channel(data, max_bytes=1024)
+            while (body := await channel.read_message()) is not None:
+                CODEC.decode(body)
+
+        try:
+            run(scenario())
+        except ProtocolError:
+            pass
+
+
+class TestHardFrameCap:
+    """The absolute frame-size ceiling holds whatever a channel is
+    configured with: a hostile length prefix dies before buffering."""
+
+    def test_rejects_hostile_prefix_despite_huge_limit(self):
+        """A giant configured limit cannot disable the hard cap: the
+        prefix alone is rejected before any body bytes buffer."""
+        async def scenario():
+            channel, _ = tcp_channel(
+                struct.pack(">I", HARD_MAX_FRAME_BYTES + 1),
+                max_bytes=10**15, eof=False)
+            await channel.read_message()
+
+        with pytest.raises(ProtocolError, match="exceeds"):
+            run(scenario())
+
+    @given(st.integers(HARD_MAX_FRAME_BYTES + 1, 2**32 - 1))
+    def test_any_over_cap_prefix_rejected(self, length):
+        """Fuzz: every over-cap declared length dies on arrival."""
+        async def scenario():
+            channel, _ = tcp_channel(struct.pack(">I", length) + b"x" * 16,
+                                     max_bytes=HARD_MAX_FRAME_BYTES)
+            await channel.read_message()
+
+        with pytest.raises(ProtocolError, match="exceeds"):
+            run(scenario())
+
+    def test_in_range_prefix_still_buffers(self):
+        """An in-range prefix under a huge limit waits for its body."""
+        async def scenario():
+            channel, reader = tcp_channel(struct.pack(">I", 64) + b"{",
+                                          max_bytes=10**15, eof=False)
+            read = asyncio.ensure_future(channel.read_message())
+            await asyncio.sleep(0.01)
+            assert not read.done()
+            reader.feed_data(b"}" * 63)
+            return await read
+
+        assert run(scenario()) == b"{" + b"}" * 63
 
 
 async def _ws_scripted_server(*payloads: bytes):
