@@ -99,6 +99,11 @@ def exact_bias_fp(n_votes: int, bias: int) -> float:
     data; the false-positive probability of observing a net bias at least
     ``bias`` is a binomial tail.  This refines the ``2^-bias`` rule (which
     is the single-path bound).
+
+    The tail is summed exactly in integers, each term derived from the
+    previous one, and divided once: ``int / int`` is correctly rounded
+    and underflows to 0.0, where ``2.0 ** n_votes`` overflows past 1023
+    votes.
     """
     if n_votes < 0:
         raise ParameterError(f"n_votes must be >= 0, got {n_votes}")
@@ -108,8 +113,13 @@ def exact_bias_fp(n_votes: int, bias: int) -> float:
         return 0.0
     # net = 2k - n >= bias  <=>  k >= (n + bias) / 2
     k_min = math.ceil((n_votes + bias) / 2)
-    total = sum(math.comb(n_votes, k) for k in range(k_min, n_votes + 1))
-    return total / 2.0 ** n_votes
+    term = math.comb(n_votes, k_min)
+    total = 0
+    for k in range(k_min, n_votes + 1):
+        total += term
+        # C(n, k + 1) = C(n, k) * (n - k) / (k + 1), exact in integers.
+        term = term * (n_votes - k) // (k + 1)
+    return total / (1 << n_votes)
 
 
 def min_segment_items(eta: float, skip: int) -> float:

@@ -17,7 +17,8 @@ adjusted degree σ/ρ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from repro.core.extremes import Extreme
 from repro.core.params import WatermarkParams
 from repro.core.quantize import Quantizer
 from repro.core.scanner import ScanCounters, StreamScanner
+from repro.core.selection import selection_message
 from repro.core.watermark import to_bits
 from repro.errors import DetectionError, ParameterError
 from repro.util.hashing import KeyedHasher
@@ -139,6 +141,24 @@ class DetectionResult:
             )
 
 
+@dataclass(eq=False)
+class _Voter:
+    """One key's share of a detection scan.
+
+    The key enters the detector only through the selection hash and the
+    encoding convention (paper Fig 4), so each key carries its own
+    hasher, encoding strategy, vote buckets, abstentions and count of
+    the extremes it selected; everything else belongs to the scan.
+    """
+
+    hasher: KeyedHasher
+    encoding: object
+    buckets_true: list[int]
+    buckets_false: list[int]
+    abstentions: int = 0
+    selected: int = 0
+
+
 class StreamDetector(StreamScanner):
     """Streaming detector: feed (possibly transformed) chunks, read votes.
 
@@ -149,8 +169,18 @@ class StreamDetector(StreamScanner):
         payload itself — its length is used).
     key, params, encoding:
         Must match the embedding configuration (they are the secret).
+        ``key`` may also be a list or tuple of keys: the detector then
+        scans once and votes for every key (:meth:`results`).
     transform_degree:
         Known or estimated ρ; majorness runs at σ/ρ (Sec 4.2).
+
+    The window, the extremes, their reference values, labels and
+    characteristic subsets depend on the data alone, so one scan serves
+    any number of keys: per major extreme each key (a *voter*) runs its
+    own selection hash and, when selected, its own vote.  The multi-hash
+    sub-range average keys of a subset are key-independent too and are
+    computed once for all voters that selected the extreme.  A
+    single-key detector is the one-voter case.
     """
 
     def __init__(self, wm_length, key,
@@ -167,46 +197,93 @@ class StreamDetector(StreamScanner):
             raise ParameterError(
                 f"transform_degree must be >= 1, got {transform_degree}"
             )
+        keys = list(key) if isinstance(key, (list, tuple)) else [key]
+        if not keys:
+            raise ParameterError("detection needs at least one key")
+        hashers = [k if isinstance(k, KeyedHasher) else KeyedHasher(k)
+                   for k in keys]
         quantizer = Quantizer(params.value_bits, params.avg_extra_bits)
-        hasher = key if isinstance(key, KeyedHasher) else KeyedHasher(key)
-        super().__init__(params, quantizer, hasher, wm_length,
+        super().__init__(params, quantizer, hashers[0], wm_length,
                          effective_sigma=adjusted_sigma(params.sigma,
                                                         transform_degree),
                          require_labels=require_labels)
-        self._encoding = build_encoding(encoding, params, quantizer, hasher,
-                                        **(encoding_options or {}))
-        self._buckets_true = [0] * wm_length
-        self._buckets_false = [0] * wm_length
-        self._abstentions = 0
+        self._voters = [
+            _Voter(hasher, build_encoding(encoding, params, quantizer, hasher,
+                                          **(encoding_options or {})),
+                   [0] * wm_length, [0] * wm_length)
+            for hasher in hashers]
+        # Several voters share one average-key computation per selected
+        # extreme; a lone voter calls its encoding's own detect.
+        self._average_keys = (
+            getattr(self._voters[0].encoding, "average_keys", None)
+            if len(self._voters) > 1 else None)
 
     @property
     def wm_length(self) -> int:
         """Number of payload bits this detector reconstructs."""
-        return len(self._buckets_true)
+        return self._wm_length
 
-    def _handle_selected(self, extreme: Extreme, window_values: np.ndarray,
-                         local: int, start: int, end: int, label: int,
-                         bit_index: int) -> float:
-        # window_values is already a contiguous float64 view; the
-        # encoding only reads it, so no defensive copy is needed.
+    def _handle_major(self, extreme: Extreme, window_values: np.ndarray,
+                      local: int, start: int, end: int) -> None:
+        """Label one major extreme once, then let every voter vote on it."""
+        reference = self._reference_value(extreme, window_values, start, end)
+        # Detection never alters the extreme, so the value committed to
+        # the label chain is the reference itself, and push returns the
+        # label preview would have given it.
+        label = self._labeler.push(reference)
+        if label is None:
+            if self._require_labels:
+                self.counters.warmup_skips += 1
+                return
+            label = 1
+        message = selection_message(reference, self._params,
+                                    self._quantizer, label)
+        phi = self._params.phi
+        wm_length = self._wm_length
+        counters = self.counters
+        average_keys = self._average_keys
+        # A view of the contiguous window: encodings only read it.
         subset = window_values[start:end + 1]
-        vote = self._encoding.detect(subset, local - start, label)
-        decision = vote.decision
-        if decision is True:
-            self._buckets_true[bit_index] += 1
-        elif decision is False:
-            self._buckets_false[bit_index] += 1
-        else:
-            self._abstentions += 1
-        return self._reference_value(extreme, window_values, start, end)
+        offset = local - start
+        keys = None
+        for voter in self._voters:
+            bit_index = voter.hasher.mod_text(message, phi)
+            if bit_index >= wm_length:
+                continue
+            voter.selected += 1
+            counters.selected += 1
+            if average_keys is None:
+                vote = voter.encoding.detect(subset, offset, label)
+            else:
+                if keys is None:
+                    keys = average_keys(subset, offset)
+                vote = voter.encoding.vote_keys(keys, label)
+            decision = vote.decision
+            if decision is True:
+                voter.buckets_true[bit_index] += 1
+            elif decision is False:
+                voter.buckets_false[bit_index] += 1
+            else:
+                voter.abstentions += 1
+
+    def results(self) -> "list[DetectionResult]":
+        """Snapshot of every key's evidence, in key order.
+
+        The scan counters are shared; ``selected`` is each key's own.
+        """
+        return [self._result(voter) for voter in self._voters]
 
     def result(self) -> DetectionResult:
-        """Snapshot of the evidence accumulated so far."""
+        """Snapshot of the evidence accumulated so far (single key)."""
+        return self._result(self._single_voter())
+
+    def _result(self, voter: _Voter) -> DetectionResult:
         return DetectionResult(
-            buckets_true=list(self._buckets_true),
-            buckets_false=list(self._buckets_false),
-            counters=self.counters,
-            abstentions=self._abstentions,
+            buckets_true=list(voter.buckets_true),
+            buckets_false=list(voter.buckets_false),
+            counters=dataclasses.replace(self.counters,
+                                         selected=voter.selected),
+            abstentions=voter.abstentions,
             vote_threshold=self._params.vote_threshold)
 
     def encoding_stats(self) -> dict:
@@ -216,33 +293,50 @@ class StreamDetector(StreamScanner):
         (multi-hash) still accrue pattern probes/hits here — the same
         pull-based observability hook the embedder exposes.
         """
-        snapshot = getattr(self._encoding, "stats_snapshot", None)
+        encoding = self._single_voter().encoding
+        snapshot = getattr(encoding, "stats_snapshot", None)
         return snapshot() if snapshot is not None else {}
 
+    def _single_voter(self) -> _Voter:
+        if len(self._voters) != 1:
+            raise ParameterError(
+                f"this detector votes for {len(self._voters)} keys; "
+                "read them with results()"
+            )
+        return self._voters[0]
+
     # ------------------------------------------------------------------
-    # checkpoint / resume
+    # checkpoint / resume (single-key detectors)
     # ------------------------------------------------------------------
+    def restore_scan_state(self, state: dict) -> None:
+        """Load a :meth:`scan_state` snapshot; ``selected`` is the key's."""
+        voter = self._single_voter()
+        super().restore_scan_state(state)
+        voter.selected = self.counters.selected
+
     def vote_state(self) -> dict:
         """JSON-compatible snapshot of the voting buckets."""
+        voter = self._single_voter()
         return {
-            "buckets_true": list(self._buckets_true),
-            "buckets_false": list(self._buckets_false),
-            "abstentions": self._abstentions,
+            "buckets_true": list(voter.buckets_true),
+            "buckets_false": list(voter.buckets_false),
+            "abstentions": voter.abstentions,
         }
 
     def restore_vote_state(self, state: dict) -> None:
         """Load a :meth:`vote_state` snapshot into this detector."""
+        voter = self._single_voter()
         buckets_true = [int(x) for x in state["buckets_true"]]
         buckets_false = [int(x) for x in state["buckets_false"]]
-        if len(buckets_true) != len(self._buckets_true) \
-                or len(buckets_false) != len(self._buckets_false):
+        if len(buckets_true) != self._wm_length \
+                or len(buckets_false) != self._wm_length:
             raise ParameterError(
                 f"checkpoint holds {len(buckets_true)} vote buckets, "
-                f"detector was built for {len(self._buckets_true)} bits"
+                f"detector was built for {self._wm_length} bits"
             )
-        self._buckets_true = buckets_true
-        self._buckets_false = buckets_false
-        self._abstentions = int(state["abstentions"])
+        voter.buckets_true = buckets_true
+        voter.buckets_false = buckets_false
+        voter.abstentions = int(state["abstentions"])
 
 
 def detect_best(values, wm_length, key,

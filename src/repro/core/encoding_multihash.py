@@ -676,16 +676,29 @@ class MultihashEncoding:
         the two counts are statistically balanced (with ω = 1 every
         average falls in one of the two classes at random).
 
-        The batched form walks run lengths instead of individual pairs:
-        a sliding left-to-right sum gives every same-length average in
-        one elementwise add (the accumulation order per window matches
-        the scalar sum, so the keys agree bit-for-bit), the keying is
-        one array op, and the probes share the memo.  Counting is
-        commutative, so the vote equals :meth:`detect_scalar`'s
-        (property-tested).
+        Detection splits into the key-independent :meth:`average_keys`
+        and the keyed :meth:`vote_keys`; a detector screening several
+        keys computes the first once per extreme.  The vote equals
+        :meth:`detect_scalar`'s (property-tested).
         """
         if not self._batched:
             return self.detect_scalar(float_subset, extreme_offset, label)
+        return self.vote_keys(self.average_keys(float_subset, extreme_offset),
+                              label)
+
+    def average_keys(self, float_subset: np.ndarray,
+                     extreme_offset: int) -> "list[int]":
+        """Keys of every active sub-range average, in probe order.
+
+        Depends on the data and the parameters alone, not on the key.
+        Runs are walked by length instead of pair by pair: a sliding
+        left-to-right sum gives every same-length average in one
+        elementwise add (the accumulation order per window matches the
+        scalar sum, so the keys agree bit-for-bit) and the keying is one
+        array op.  The order is :func:`active_pairs`'s (shortest runs
+        first), so probing it walks the memo exactly as the scalar
+        detection does.
+        """
         if len(float_subset) == 0:
             raise ParameterError("cannot detect in an empty subset")
         if self._params.active_run_length < 1:
@@ -697,33 +710,26 @@ class MultihashEncoding:
         segment = np.asarray(float_subset[start:end], dtype=np.float64)
         size = len(segment)
         run_cap = min(self._params.active_run_length, size)
-        true_target = self._target(True)
-        false_target = self._target(False)
-        probe_many = self._prober.patterns
         quantizer = self._quantizer
-        n_true = 0
-        n_false = 0
+        means = [segment]
         acc = segment
-        for length in range(1, run_cap + 1):
-            if 1 < length < 8:
-                # acc[s] accumulates segment[s] + .. + segment[s+length-1]
-                # left to right — bit-identical to the scalar sum for the
-                # short windows (the only ones keyed from acc).
-                acc = acc[:-1] + segment[length - 1:]
-            if length < 8:
-                means = segment if length == 1 else acc / length
-                keys = quantizer.average_key_array(means)
-            else:
-                keys = np.fromiter(
-                    (quantizer.average_key(segment[s:s + length])
-                     for s in range(size - length + 1)),
-                    dtype=np.int64, count=size - length + 1)
-            for pattern in probe_many(keys, label):
-                if pattern == true_target:
-                    n_true += 1
-                elif pattern == false_target:
-                    n_false += 1
-        return Vote(n_true=n_true, n_false=n_false)
+        for length in range(2, min(run_cap, 7) + 1):
+            # acc[s] accumulates segment[s] + .. + segment[s+length-1]
+            # left to right — bit-identical to the scalar sum for the
+            # short windows (the only ones keyed from acc).
+            acc = acc[:-1] + segment[length - 1:]
+            means.append(acc / length)
+        keys = quantizer.average_key_array(np.concatenate(means)).tolist()
+        for length in range(8, run_cap + 1):
+            keys.extend(quantizer.average_key(segment[s:s + length])
+                        for s in range(size - length + 1))
+        return keys
+
+    def vote_keys(self, avg_keys: "list[int]", label: int) -> Vote:
+        """The keyed half of :meth:`detect`: probe each average key."""
+        patterns = self._prober.patterns(avg_keys, label)
+        return Vote(n_true=patterns.count(self._target(True)),
+                    n_false=patterns.count(self._target(False)))
 
     def detect_scalar(self, float_subset: np.ndarray, extreme_offset: int,
                       label: int) -> Vote:

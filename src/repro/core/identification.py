@@ -20,14 +20,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.core.confidence import exact_bias_fp
 from repro.core.detector import detect_watermark
+from repro.core.parallel_detect import DetectionTask, run_tasks
 from repro.core.params import WatermarkParams
 from repro.errors import ParameterError
 
 
 @dataclass(frozen=True)
 class KeyVerdict:
-    """Evidence for one candidate key."""
+    """Evidence for one candidate key.
+
+    ``false_positive`` is two-sided: a key that marked a "0" bit drives
+    the bias negative just as a "1" drives it positive, so the evidence
+    is ``2 · P[|net vote| >= |bias|]`` under the null, capped at 1.
+    """
 
     key_id: str
     bias: int
@@ -38,7 +47,7 @@ class KeyVerdict:
     @property
     def decisive(self) -> bool:
         """True when even the adjusted bound is below one in a thousand."""
-        return self.adjusted_false_positive < 1e-3 and self.bias > 0
+        return self.adjusted_false_positive < 1e-3 and self.bias != 0
 
 
 def identify_key(values, candidate_keys: dict, wm_length: int = 1,
@@ -48,22 +57,26 @@ def identify_key(values, candidate_keys: dict, wm_length: int = 1,
     """Rank candidate keys by detection evidence (best first).
 
     ``candidate_keys`` maps an identifier (e.g. a customer name) to that
-    customer's secret key.
+    customer's secret key.  The stream is scanned once for all of them
+    (:func:`repro.core.parallel_detect.run_tasks` shares the scan).
     """
     if not candidate_keys:
         raise ParameterError("candidate_keys must not be empty")
     n_candidates = len(candidate_keys)
+    array = np.asarray(values, dtype=np.float64).ravel()
+    tasks = [DetectionTask(values=array, wm_length=wm_length, key=key,
+                           params=params, encoding=encoding,
+                           transform_degree=transform_degree)
+             for key in candidate_keys.values()]
     verdicts: list[KeyVerdict] = []
-    for key_id, key in candidate_keys.items():
-        result = detect_watermark(values, wm_length, key, params=params,
-                                  encoding=encoding,
-                                  transform_degree=transform_degree)
-        fp = result.exact_false_positive(0)
+    for key_id, result in zip(candidate_keys, run_tasks(tasks)):
+        bias = result.bias(0)
+        votes = result.votes(0)
+        fp = min(1.0, 2.0 * exact_bias_fp(votes, abs(bias)))
         verdicts.append(KeyVerdict(
-            key_id=str(key_id), bias=result.bias(0),
-            votes=result.votes(0), false_positive=fp,
+            key_id=str(key_id), bias=bias, votes=votes, false_positive=fp,
             adjusted_false_positive=min(1.0, fp * n_candidates)))
-    verdicts.sort(key=lambda v: (v.adjusted_false_positive, -v.bias))
+    verdicts.sort(key=lambda v: (v.adjusted_false_positive, -abs(v.bias)))
     return verdicts
 
 

@@ -5,15 +5,27 @@ multi-pass story already exposes: candidate transform degrees ρ
 (:func:`repro.core.detector.detect_best` tries several), candidate keys
 (a rights holder screening a batch of suspect streams against its key
 ring), and contiguous chunk ranges of one long stream.  Each axis
-factors into independent :class:`DetectionTask` units that a
-``ProcessPoolExecutor`` fans out; the voting buckets ``wm[i]^T`` /
-``wm[i]^F`` are plain sums over selected extremes, so partial results
-merge *exactly* — :func:`merge_results` implements the bucket merge law
+factors into independent :class:`DetectionTask` units; the voting
+buckets ``wm[i]^T`` / ``wm[i]^F`` are plain sums over selected extremes,
+so partial results merge *exactly* — :func:`merge_results` implements
+the bucket merge law
 
     merged.buckets[i] = sum over parts of part.buckets[i]
 
 and likewise for abstentions and every scan counter.  Serial equals
 parallel for every split (property-tested).
+
+Key-ring sweeps share scans.  The key enters detection only through the
+selection hash and the encoding convention, so :func:`run_tasks` groups
+tasks that differ in nothing but ``key`` (equal ``wm_length``,
+``params``, ``encoding``, ``transform_degree``, ``require_labels`` and
+``encoding_options``, element-wise equal ``values``) and scans each
+suspect once for all of them with a multi-key
+:class:`~repro.core.detector.StreamDetector`.  Each group is cut into
+``min(len(group), ceil(workers / n_groups))`` contiguous key chunks, one
+scan each, so a one-suspect sweep still fills every worker.  Every
+result is field-for-field what :func:`run_task` gives for its task
+(property-tested).  Span tasks and degree sweeps never group.
 
 The one approximation lives in *where the split cuts*: span-parallel
 detection of a single stream re-warms the scanner at each span boundary
@@ -24,13 +36,15 @@ votes per cut, and :func:`split_spans` refuses to produce spans shorter
 than a window multiple for exactly that reason.
 
 Workers are processes, not threads — the hot loops are pure Python and
-hold the GIL.  Tasks are pickled; :class:`~repro.util.hashing.KeyedHasher`
-carries a ``__reduce__`` for this.
+hold the GIL.  Scans are pickled as one task plus its chunk of keys;
+:class:`~repro.util.hashing.KeyedHasher` carries a ``__reduce__`` for
+this.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -83,21 +97,71 @@ def run_task(task: DetectionTask):
                             encoding_options=task.encoding_options)
 
 
+def _shares_scan(a: DetectionTask, b: DetectionTask) -> bool:
+    """True when the two tasks differ at most in ``key``."""
+    return (a.wm_length == b.wm_length
+            and a.encoding == b.encoding
+            and a.transform_degree == b.transform_degree
+            and a.require_labels == b.require_labels
+            and (a.params or WatermarkParams()) == (b.params
+                                                    or WatermarkParams())
+            and (a.encoding_options or {}) == (b.encoding_options or {})
+            and np.array_equal(a.values, b.values))
+
+
+def _scan_groups(tasks: "list[DetectionTask]") -> "list[list[int]]":
+    """Indices of tasks that can share one scan, in first-seen order."""
+    groups: "list[list[int]]" = []
+    # A few sampled items bucket the suspects so that distinct ones are
+    # rarely compared in full; equality is still decided by _shares_scan.
+    buckets: "dict[tuple, list[list[int]]]" = {}
+    for index, task in enumerate(tasks):
+        values = task.values
+        sample = values[::max(1, values.size // 16)].tobytes()
+        candidates = buckets.setdefault((values.size, sample), [])
+        for group in candidates:
+            if _shares_scan(tasks[group[0]], task):
+                group.append(index)
+                break
+        else:
+            candidates.append([index])
+            groups.append(candidates[-1])
+    return groups
+
+
+def _run_scan(job: "tuple[DetectionTask, list]") -> list:
+    """One scan of ``job``'s task, voting for each of its keys."""
+    task, keys = job
+    if len(keys) == 1:
+        return [run_task(task)]
+    from repro.core.detector import StreamDetector
+
+    # float() as detect_watermark applies it on the run_task path.
+    detector = StreamDetector(task.wm_length, keys, params=task.params,
+                              encoding=task.encoding,
+                              transform_degree=float(task.transform_degree),
+                              require_labels=task.require_labels,
+                              encoding_options=task.encoding_options)
+    detector.run(task.values)
+    return detector.results()
+
+
 def run_tasks(tasks: "list[DetectionTask]",
               workers: "int | None" = None, metrics=None) -> list:
     """Run tasks serially (``workers`` in {None, 0, 1}) or in a pool.
 
-    Results come back in task order either way (``Executor.map``
-    preserves ordering), so callers can zip them against their inputs.
-    The pool is sized ``min(workers, len(tasks))`` — idle workers cost
-    a fork each.
+    Tasks that differ only in ``key`` share one scan (see the module
+    docstring); results come back in task order either way, so callers
+    can zip them against their inputs.  The pool is sized
+    ``min(workers, scans)`` — idle workers cost a fork each.
 
     ``metrics`` is an optional :class:`~repro.obs.MetricsRegistry`;
     counters are maintained parent-side (workers are separate
     processes, so instruments must not cross the pool boundary):
-    ``detect_tasks_total`` counts every task, ``detect_pool_tasks_total``
-    and ``detect_pool_batches_total`` only pool-dispatched work, and
-    the ``detect_pool_utilization`` gauge reports tasks-per-slot of the
+    ``detect_tasks_total`` counts every task, ``detect_scans_total``
+    the scans that served them, ``detect_pool_tasks_total`` and
+    ``detect_pool_batches_total`` only pool-dispatched work, and the
+    ``detect_pool_utilization`` gauge reports tasks-per-slot of the
     latest batch (how full the requested pool actually ran).
     """
     if workers is not None and workers < 0:
@@ -106,16 +170,34 @@ def run_tasks(tasks: "list[DetectionTask]",
     tasks = list(tasks)
     if not tasks:
         return []
+    groups = _scan_groups(tasks)
+    # split_spans caps the chunk count at the group size.
+    per_group = math.ceil((workers or 1) / len(groups))
+    jobs: "list[tuple[DetectionTask, list]]" = []
+    owners: "list[list[int]]" = []
+    for group in groups:
+        for start, end in split_spans(len(group), per_group):
+            chunk = group[start:end]
+            jobs.append((tasks[chunk[0]], [tasks[i].key for i in chunk]))
+            owners.append(chunk)
     m.counter("detect_tasks_total").inc(len(tasks))
-    if workers is None or workers <= 1 or len(tasks) == 1:
-        return [run_task(task) for task in tasks]
-    pool_size = min(workers, len(tasks))
-    m.counter("detect_pool_tasks_total").inc(len(tasks))
-    m.counter("detect_pool_batches_total").inc()
-    m.gauge("detect_pool_workers").set(pool_size)
-    m.gauge("detect_pool_utilization").set(round(len(tasks) / workers, 4))
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        return list(pool.map(run_task, tasks))
+    m.counter("detect_scans_total").inc(len(jobs))
+    if workers is None or workers <= 1 or len(jobs) == 1:
+        outputs = [_run_scan(job) for job in jobs]
+    else:
+        pool_size = min(workers, len(jobs))
+        m.counter("detect_pool_tasks_total").inc(len(tasks))
+        m.counter("detect_pool_batches_total").inc()
+        m.gauge("detect_pool_workers").set(pool_size)
+        m.gauge("detect_pool_utilization").set(round(len(tasks) / workers,
+                                                     4))
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            outputs = list(pool.map(_run_scan, jobs))
+    results: list = [None] * len(tasks)
+    for chunk, output in zip(owners, outputs):
+        for index, result in zip(chunk, output):
+            results[index] = result
+    return results
 
 
 def merge_results(results: "list", metrics=None):
@@ -238,6 +320,7 @@ def detect_many(tasks: "list[DetectionTask]",
 
     This is the hub's screening surface — candidate keys x suspect
     streams, each its own :class:`DetectionTask`.  No merging: each
-    task answers its own question.
+    task answers its own question, though tasks on the same suspect
+    share its scan (:func:`run_tasks`).
     """
     return run_tasks(tasks, workers=workers, metrics=metrics)

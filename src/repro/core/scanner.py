@@ -5,8 +5,9 @@ loop: maintain the finite window, find the next confirmed extreme,
 compute its characteristic subset, test majorness, derive the label,
 apply the selection criterion, act on the extreme (embed or decode) and
 *advance the window past it*.  :class:`StreamScanner` implements that
-loop once; the embedder and detector subclass it with their
-``_handle_selected`` action.
+loop once; the embedder subclasses it with its ``_handle_selected``
+action, and the detector replaces ``_handle_major`` so that one label
+serves the selection and vote of every key it screens.
 
 Properties maintained:
 

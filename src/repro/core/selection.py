@@ -30,6 +30,16 @@ from repro.errors import ParameterError
 from repro.util.hashing import KeyedHasher
 
 
+def selection_message(extreme_value: float, params: WatermarkParams,
+                      quantizer: Quantizer, label: int = 1) -> str:
+    """The key-free input ``msb(ε, β); label`` of the selection hash.
+
+    Detection computes it once per major extreme and hashes it under
+    every candidate key.
+    """
+    return f"sel:{quantizer.msb(extreme_value, params.msb_bits)}:{label}"
+
+
 def selection_index(extreme_value: float, params: WatermarkParams,
                     quantizer: Quantizer, hasher: KeyedHasher,
                     label: int = 1) -> int:
@@ -46,8 +56,9 @@ def selection_index(extreme_value: float, params: WatermarkParams,
     (the labeling-disabled mode) this reduces to the paper's original
     criterion.
     """
-    msb_value = quantizer.msb(extreme_value, params.msb_bits)
-    return hasher.mod_text(f"sel:{msb_value}:{label}", params.phi)
+    return hasher.mod_text(
+        selection_message(extreme_value, params, quantizer, label),
+        params.phi)
 
 
 def select_watermark_bit(extreme_value: float, wm_length: int,

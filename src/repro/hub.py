@@ -261,11 +261,13 @@ class StreamHub:
         ``jobs`` is a list of :class:`repro.core.parallel_detect.
         DetectionTask` or of tuples ``(values, wm_length, key)`` /
         ``(values, wm_length, key, kwargs)`` — the rights holder's
-        key-ring sweep: every (stream, key) pair is an independent
-        detection, so they fan out across ``workers`` processes and the
-        results come back in job order.  This is offline whole-stream
-        screening and touches no hub session state, hence a staticmethod
-        on the hub only as the natural batch entry point.
+        key-ring sweep: every (stream, key) pair gets its own result,
+        in job order, but jobs that differ only in their key share one
+        scan of the stream; the scans fan out across ``workers``
+        processes (see :func:`repro.core.parallel_detect.run_tasks`).
+        This is offline whole-stream screening and touches no hub
+        session state, hence a staticmethod on the hub only as the
+        natural batch entry point.
         """
         from repro.core.parallel_detect import DetectionTask, detect_many
 

@@ -31,6 +31,22 @@ class TestIdentifyKey:
         for other in verdicts[1:]:
             assert not other.decisive
 
+    def test_zero_payload_leaker_ranked_first_and_decisive(self, params):
+        """A "0" mark drives the leaker's bias negative; the evidence is
+        two-sided, so the leaker must still rank first and be decisive."""
+        stream = TemperatureSensorGenerator(eta=80, seed=91).generate(12000)
+        keys = {name: f"key-{name}".encode()
+                for name in ("customer-a", "customer-b", "customer-c",
+                             "customer-d")}
+        leak, _ = watermark_stream(stream, "0", keys["customer-b"],
+                                   params=params)
+        verdicts = identify_key(leak, keys, params=params)
+        assert verdicts[0].key_id == "customer-b"
+        assert verdicts[0].bias < 0
+        assert verdicts[0].decisive
+        for other in verdicts[1:]:
+            assert not other.decisive
+
     def test_identification_survives_sampling(self, fingerprinted, params):
         keys, leak = fingerprinted
         sampled = uniform_random_sampling(leak, 3, rng=0)

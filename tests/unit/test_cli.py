@@ -37,6 +37,27 @@ class TestEmbedDetect:
         assert detect_info["match_fraction"] == 1.0
         assert detect_info["estimate"] == ["1"]
 
+    def test_detect_reports_exact_fp_past_1023_votes(self, tmp_path,
+                                                     capsys):
+        """A long marked stream puts more than 1023 votes on bit 0.
+
+        The exact false-positive probability must print (it underflows
+        to 0.0) instead of the detect command dying on a float overflow.
+        """
+        from repro import watermark_stream
+
+        values = TemperatureSensorGenerator(eta=60, seed=7).generate(80_000)
+        marked, _ = watermark_stream(values, "1", "k-long",
+                                     encoding="initial")
+        path = tmp_path / "long.csv"
+        save_stream_csv(path, marked)
+        code = main(["detect", str(path), "--key", "k-long",
+                     "--encoding", "initial"])
+        assert code == 0
+        info = json.loads(capsys.readouterr().out)
+        assert info["votes"][0] > 1023
+        assert info["exact_fp_bit0"] == 0.0
+
     def test_detect_spans_flag(self, stream_file, tmp_path, capsys):
         """--spans routes through the span-merge path.
 

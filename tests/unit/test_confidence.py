@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -83,6 +84,18 @@ class TestBiasConfidence:
         # n=6 fair-coin votes, bias >= 2 <=> at least 4 true votes.
         expected = sum(math.comb(6, k) for k in (4, 5, 6)) / 64
         assert exact_bias_fp(6, 2) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("n_votes, bias", [
+        (1024, 1), (1024, 40), (1294, 100), (1294, 1294), (4001, 333)])
+    def test_exact_tail_past_float_range(self, n_votes, bias):
+        """More than 1023 votes: 2.0 ** n overflows, the exact tail must not.
+
+        The reference is the correctly rounded rational tail.
+        """
+        k_min = math.ceil((n_votes + bias) / 2)
+        tail = sum(math.comb(n_votes, k) for k in range(k_min, n_votes + 1))
+        assert exact_bias_fp(n_votes, bias) == \
+            float(Fraction(tail, 2 ** n_votes))
 
     def test_exact_tail_edge_cases(self):
         assert exact_bias_fp(10, 0) == 1.0

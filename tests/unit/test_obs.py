@@ -306,9 +306,33 @@ class TestPipelineWiring:
         # Parent-side counters are exact even though the work ran in a
         # process pool (children cannot share the registry).
         assert snap["counters"]["detect_tasks_total"] == 3
+        assert snap["counters"]["detect_scans_total"] == 3
         assert snap["counters"]["detect_pool_tasks_total"] == 3
         assert snap["counters"]["detect_pool_batches_total"] == 1
         assert snap["counters"]["detect_span_merges_total"] == 1
         assert snap["counters"]["detect_merged_parts_total"] == 3
         assert snap["gauges"]["detect_pool_workers"] == 2
         assert snap["gauges"]["detect_pool_utilization"] == 1.5
+
+        # A key ring on one suspect shares scans: five keys on two
+        # workers are two contiguous key chunks, one scan each.
+        ring = [DetectionTask(values=marked, wm_length=1, key=key,
+                              params=params)
+                for key in (b"pool-key", b"k2", b"k3", b"k4", b"k5")]
+        registry = MetricsRegistry()
+        run_tasks(ring, workers=2, metrics=registry)
+        snap = registry.snapshot()
+        assert snap["counters"]["detect_tasks_total"] == 5
+        assert snap["counters"]["detect_scans_total"] == 2
+        assert snap["counters"]["detect_pool_tasks_total"] == 5
+        assert snap["counters"]["detect_pool_batches_total"] == 1
+        assert snap["gauges"]["detect_pool_workers"] == 2
+        assert snap["gauges"]["detect_pool_utilization"] == 2.5
+
+        # Serial: one scan per suspect, whatever the ring size.
+        registry = MetricsRegistry()
+        run_tasks(ring + tasks, metrics=registry)
+        snap = registry.snapshot()
+        assert snap["counters"]["detect_tasks_total"] == 8
+        assert snap["counters"]["detect_scans_total"] == 4
+        assert "detect_pool_batches_total" not in snap["counters"]
