@@ -100,6 +100,14 @@ def exact_bias_fp(n_votes: int, bias: int) -> float:
     ``bias`` is a binomial tail.  This refines the ``2^-bias`` rule (which
     is the single-path bound).
 
+    The figure holds only under that fair-coin null.  Wrong-key votes
+    that lean one way break it: on a suspect marked with the ``initial``
+    encoding a wrong key often reads the owner's zeroed guard bits, so
+    its votes lean false.  On 20k-item suspects carrying a "0" payload,
+    6-15% of wrong keys reached a two-sided fp below 0.01.
+    ``multihash``, ``quadres`` and unmarked suspects stay near the
+    nominal rate.
+
     The tail is summed exactly in integers, each term derived from the
     previous one, and divided once: ``int / int`` is correctly rounded
     and underflows to 0.0, where ``2.0 ** n_votes`` overflows past 1023

@@ -95,7 +95,13 @@ class DetectionResult:
         return confidence_from_bias(self.bias(bit_index))
 
     def exact_false_positive(self, bit_index: int = 0) -> float:
-        """Exact binomial tail for this bit's bias under the null."""
+        """Exact binomial tail for this bit's bias under the null.
+
+        Valid only under a fair-coin null: every vote of a wrong key an
+        independent ±1 with probability 1/2.  Wrong keys screened
+        against ``initial``-marked suspects break it (their votes lean
+        false); see :func:`repro.core.confidence.exact_bias_fp`.
+        """
         return exact_bias_fp(self.votes(bit_index), self.bias(bit_index))
 
     def match_fraction(self, watermark) -> float:
@@ -177,10 +183,12 @@ class StreamDetector(StreamScanner):
     The window, the extremes, their reference values, labels and
     characteristic subsets depend on the data alone, so one scan serves
     any number of keys: per major extreme each key (a *voter*) runs its
-    own selection hash and, when selected, its own vote.  The multi-hash
-    sub-range average keys of a subset are key-independent too and are
-    computed once for all voters that selected the extreme.  A
-    single-key detector is the one-voter case.
+    own selection hash and, when selected, its own vote.  The selection
+    message is framed once per extreme.  Multi-hash detection splits
+    into a key-free evidence pass (the distinct sub-range average
+    payloads of the subset) run once for all voters that selected the
+    extreme, and a keyed vote per voter.  A single-key detector is the
+    one-voter case.
     """
 
     def __init__(self, wm_length, key,
@@ -212,10 +220,10 @@ class StreamDetector(StreamScanner):
                                           **(encoding_options or {})),
                    [0] * wm_length, [0] * wm_length)
             for hasher in hashers]
-        # Several voters share one average-key computation per selected
-        # extreme; a lone voter calls its encoding's own detect.
-        self._average_keys = (
-            getattr(self._voters[0].encoding, "average_keys", None)
+        # Several voters share one evidence pass per selected extreme;
+        # a lone voter calls its encoding's own detect.
+        self._evidence = (
+            getattr(self._voters[0].encoding, "evidence", None)
             if len(self._voters) > 1 else None)
 
     @property
@@ -241,23 +249,23 @@ class StreamDetector(StreamScanner):
         phi = self._params.phi
         wm_length = self._wm_length
         counters = self.counters
-        average_keys = self._average_keys
+        shared = self._evidence
         # A view of the contiguous window: encodings only read it.
         subset = window_values[start:end + 1]
         offset = local - start
-        keys = None
+        evidence = None
         for voter in self._voters:
-            bit_index = voter.hasher.mod_text(message, phi)
+            bit_index = voter.hasher.hash_framed(message) % phi
             if bit_index >= wm_length:
                 continue
             voter.selected += 1
             counters.selected += 1
-            if average_keys is None:
+            if shared is None:
                 vote = voter.encoding.detect(subset, offset, label)
             else:
-                if keys is None:
-                    keys = average_keys(subset, offset)
-                vote = voter.encoding.vote_keys(keys, label)
+                if evidence is None:
+                    evidence = shared(subset, offset, label)
+                vote = voter.encoding.vote(evidence)
             decision = vote.decision
             if decision is True:
                 voter.buckets_true[bit_index] += 1
@@ -289,9 +297,11 @@ class StreamDetector(StreamScanner):
     def encoding_stats(self) -> dict:
         """Lifetime telemetry from the encoding strategy, if it keeps any.
 
-        Detection never embeds, but encodings with a shared probe memo
-        (multi-hash) still accrue pattern probes/hits here — the same
-        pull-based observability hook the embedder exposes.
+        The same pull-based observability hook the embedder exposes.
+        Detection never embeds, and batched multi-hash detection does
+        not probe the pattern memo, so its ``embeds``,
+        ``search_iterations``, ``pattern_probes`` and
+        ``pattern_memo_hits`` stay 0.
         """
         encoding = self._single_voter().encoding
         snapshot = getattr(encoding, "stats_snapshot", None)

@@ -45,7 +45,7 @@ from repro.core.encoding_initial import EmbedOutcome, Vote
 from repro.core.params import WatermarkParams
 from repro.core.quantize import Quantizer
 from repro.errors import EncodingSearchExhausted, ParameterError
-from repro.util.hashing import KeyedHasher, PatternProber
+from repro.util.hashing import KeyedHasher, PatternProber, hash_constructor
 from repro.util.rng import make_rng
 
 
@@ -162,16 +162,16 @@ class MultihashEncoding:
         # from the search loop itself).
         self.embeds = 0
         self.total_search_iterations = 0
-        # Hot-path machinery: the shared PatternProber keeps a digest
-        # context pre-fed with the leading key (copy() per probe beats
-        # re-hashing the prefix) plus a bounded (avg_key, label) memo —
-        # the pruned search re-tests the same short-run averages across
-        # backtracking candidates, and detection re-keys every average
-        # of overlapping active runs.  Both the batched paths and the
-        # retained scalar oracles probe through it.
+        # The random search and the scalar oracles probe through a
+        # PatternProber: a digest context pre-fed with the leading key
+        # plus a bounded (avg_key, label) memo, because they re-test the
+        # same averages across candidates.  Batched detection does not:
+        # its keyed pass (vote) hashes each distinct average of an
+        # extreme once through the constructor resolved here.
         self._prober = PatternProber(self._key, params.omega,
                                      self._algorithm,
                                      self._PATTERN_MEMO_LIMIT)
+        self._new = hash_constructor(self._algorithm)
 
     # ------------------------------------------------------------------
     _PATTERN_MEMO_LIMIT = 1 << 16
@@ -676,60 +676,86 @@ class MultihashEncoding:
         the two counts are statistically balanced (with ω = 1 every
         average falls in one of the two classes at random).
 
-        Detection splits into the key-independent :meth:`average_keys`
-        and the keyed :meth:`vote_keys`; a detector screening several
-        keys computes the first once per extreme.  The vote equals
-        :meth:`detect_scalar`'s (property-tested).
+        Detection is two passes: the key-free :meth:`evidence` and the
+        keyed :meth:`vote`.  A detector screening several keys runs the
+        first once per extreme and the second once per key; this is the
+        one-key case.  The vote equals :meth:`detect_scalar`'s
+        (property-tested).
         """
         if not self._batched:
             return self.detect_scalar(float_subset, extreme_offset, label)
-        return self.vote_keys(self.average_keys(float_subset, extreme_offset),
-                              label)
+        return self.vote(self.evidence(float_subset, extreme_offset, label))
 
-    def average_keys(self, float_subset: np.ndarray,
-                     extreme_offset: int) -> "list[int]":
-        """Keys of every active sub-range average, in probe order.
+    def evidence(self, float_subset: np.ndarray, extreme_offset: int,
+                 label: int) -> "list[tuple[bytes, int]]":
+        """Key-free pass: each distinct hash payload with its count.
 
-        Depends on the data and the parameters alone, not on the key.
-        Runs are walked by length instead of pair by pair: a sliding
-        left-to-right sum gives every same-length average in one
-        elementwise add (the accumulation order per window matches the
-        scalar sum, so the keys agree bit-for-bit) and the keying is one
-        array op.  The order is :func:`active_pairs`'s (shortest runs
-        first), so probing it walks the memo exactly as the scalar
-        detection does.
+        Keys every active sub-range average of the (trimmed) subset and
+        returns the distinct 16-byte ``avg_key‖label`` payloads of the
+        convention, each with the number of averages that produced it.
+        Subsets hold at most ``max_subset_detect`` items, too few for
+        numpy dispatch to pay off, so short runs (n < 8) are Python
+        sums: the sum of a run of length n extends the run of length
+        n - 1 by one item, left to right, :meth:`Quantizer.average_key`'s
+        summation order, and :meth:`Quantizer.run_keys` keys them.
+        Longer runs go through ``average_key`` itself.
+
+        An average that is NaN (a run holding both ``+inf`` and
+        ``-inf``, or whose sum overflows both ways) has no key: the
+        subset then gives no evidence and its vote abstains, in
+        :meth:`detect_scalar` too.
         """
         if len(float_subset) == 0:
             raise ParameterError("cannot detect in an empty subset")
-        if self._params.active_run_length < 1:
-            raise ParameterError(
-                f"run_length must be >= 1, got "
-                f"{self._params.active_run_length}")
         start, end = self._trim(len(float_subset), extreme_offset,
                                 self._params.max_subset_detect)
         segment = np.asarray(float_subset[start:end], dtype=np.float64)
-        size = len(segment)
+        items = segment.tolist()
+        size = len(items)
         run_cap = min(self._params.active_run_length, size)
         quantizer = self._quantizer
-        means = [segment]
-        acc = segment
-        for length in range(2, min(run_cap, 7) + 1):
-            # acc[s] accumulates segment[s] + .. + segment[s+length-1]
-            # left to right — bit-identical to the scalar sum for the
-            # short windows (the only ones keyed from acc).
-            acc = acc[:-1] + segment[length - 1:]
-            means.append(acc / length)
-        keys = quantizer.average_key_array(np.concatenate(means)).tolist()
-        for length in range(8, run_cap + 1):
-            keys.extend(quantizer.average_key(segment[s:s + length])
-                        for s in range(size - length + 1))
-        return keys
+        counts: "dict[int, int]" = {}
+        get = counts.get
+        sums = items
+        try:
+            for length in range(1, min(run_cap, 7) + 1):
+                if length > 1:
+                    sums = [a + b for a, b in zip(sums, items[length - 1:])]
+                for key in quantizer.run_keys(sums, length):
+                    counts[key] = get(key, 0) + 1
+            for length in range(8, run_cap + 1):
+                for first in range(size - length + 1):
+                    key = quantizer.average_key(segment[first:first + length])
+                    counts[key] = get(key, 0) + 1
+        except ValueError:  # a NaN average
+            return []
+        tail = label.to_bytes(8, "big")
+        return [(key.to_bytes(8, "big") + tail, count)
+                for key, count in counts.items()]
 
-    def vote_keys(self, avg_keys: "list[int]", label: int) -> Vote:
-        """The keyed half of :meth:`detect`: probe each average key."""
-        patterns = self._prober.patterns(avg_keys, label)
-        return Vote(n_true=patterns.count(self._target(True)),
-                    n_false=patterns.count(self._target(False)))
+    def vote(self, evidence: "list[tuple[bytes, int]]") -> Vote:
+        """Keyed pass: hash each distinct payload once under this key.
+
+        ``evidence`` is :meth:`evidence`'s output, from any encoding
+        with the same parameters.  A payload's pattern is the low ω bits
+        of ``H(k ; payload ; k)`` (:func:`convention_pattern`); its
+        count goes to ``n_true`` on all ones and to ``n_false`` on all
+        zeroes.
+        """
+        new = self._new
+        key = self._key
+        from_bytes = int.from_bytes
+        mask = (1 << self._params.omega) - 1
+        n_true = 0
+        n_false = 0
+        for payload, count in evidence:
+            digest = new(key + payload + key).digest()
+            pattern = from_bytes(digest[-3:], "big") & mask
+            if pattern == mask:
+                n_true += count
+            elif pattern == 0:
+                n_false += count
+        return Vote(n_true=n_true, n_false=n_false)
 
     def detect_scalar(self, float_subset: np.ndarray, extreme_offset: int,
                       label: int) -> Vote:
@@ -742,10 +768,14 @@ class MultihashEncoding:
         pairs = active_pairs(len(segment), self._params.active_run_length)
         true_target = self._target(True)
         false_target = self._target(False)
+        try:
+            avg_keys = [self._quantizer.average_key(segment[i:j + 1])
+                        for (i, j) in pairs]
+        except ValueError:  # a NaN average: abstain, as evidence() does
+            return Vote(n_true=0, n_false=0)
         n_true = 0
         n_false = 0
-        for (i, j) in pairs:
-            avg_key = self._quantizer.average_key(segment[i:j + 1])
+        for avg_key in avg_keys:
             pattern = self._pattern(avg_key, label)
             if pattern == true_target:
                 n_true += 1

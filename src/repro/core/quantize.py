@@ -24,16 +24,26 @@ are keyed on ``value_bits + avg_extra_bits`` bits: a single unit change
 in one member's quantized value moves the scaled average by
 ``2^avg_extra_bits / k >= 1`` for ``k <= 2^avg_extra_bits``, guaranteeing
 the embedding search can steer every constrained average.
+
+Out-of-range values
+-------------------
+Every map clamps in float space before converting to an integer, so a
+value outside the representable range, ``±inf`` included, saturates to
+the nearest end instead of overflowing.  Finite results equal
+floor-then-clamp.  NaN still raises: ``ValueError`` from the scalar
+maps' ``math.floor``, :class:`~repro.errors.StreamError` from
+:meth:`Quantizer.quantize_array`.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 
-from repro.errors import ParameterError
-from repro.util.validation import as_float_array
+from repro.errors import ParameterError, StreamError
 
 
 class Quantizer:
@@ -54,6 +64,8 @@ class Quantizer:
         self._scale = float(1 << value_bits)
         self._avg_scale = float(1 << (value_bits + avg_extra_bits))
         self._max_q = (1 << value_bits) - 1
+        self._avg_upper = (1 << (value_bits + avg_extra_bits)) - 1
+        self._avg_upper_f = float(self._avg_upper)
 
     # ------------------------------------------------------------------
     @property
@@ -79,8 +91,8 @@ class Quantizer:
         any finite double, without ufunc dispatch — this sits on the
         labeling/selection hot path.
         """
-        q = math.floor((float(value) + 0.5) * self._scale)
-        return min(max(q, 0), self._max_q)
+        return _clamped_floor((float(value) + 0.5) * self._scale,
+                              self._max_q)
 
     def quantize_list(self, values: "list[float]") -> "list[int]":
         """:meth:`quantize` over a list of Python floats.
@@ -92,14 +104,24 @@ class Quantizer:
         floor = math.floor
         scale = self._scale
         max_q = self._max_q
-        return [min(max(floor((v + 0.5) * scale), 0), max_q)
+        # _clamped_floor, inlined: this is a per-item loop.
+        return [0 if (x := (v + 0.5) * scale) < 0 else
+                max_q if x > max_q else floor(x)
                 for v in values]
 
     def quantize_array(self, values) -> np.ndarray:
-        """Vectorized :meth:`quantize` (returns int64 array)."""
-        array = as_float_array(values, "values")
-        q = np.floor((array + 0.5) * self._scale).astype(np.int64)
-        return np.clip(q, 0, self._max_q)
+        """Vectorized :meth:`quantize` (returns int64 array).
+
+        Clamps before the int64 cast, which would overflow on ±inf and
+        on finite values past the int64 range; NaN is rejected.
+        """
+        array = np.asarray(values, dtype=np.float64)
+        if np.isnan(array).any():
+            raise StreamError("values contains NaN")
+        # Huge finite values scale to inf, which the clip saturates.
+        with np.errstate(over="ignore"):
+            cells = np.floor((array + 0.5) * self._scale)
+        return np.clip(cells, 0, self._max_q).astype(np.int64)
 
     def dequantize(self, q: int) -> float:
         """Map a cell index back to its midpoint value."""
@@ -131,8 +153,7 @@ class Quantizer:
             raise ParameterError(
                 f"msb bit count must be positive, got {n_bits}"
             )
-        q = math.floor((float(value) + 0.5) * self._scale)
-        q = min(max(q, 0), self._max_q)
+        q = _clamped_floor((float(value) + 0.5) * self._scale, self._max_q)
         if n_bits >= self._bits:
             return q
         return q >> (self._bits - n_bits)
@@ -150,8 +171,8 @@ class Quantizer:
             raise ParameterError(
                 f"msb bit count must be positive, got {n_bits}"
             )
-        q = math.floor((abs(float(value)) + 0.5) * self._scale)
-        q = min(max(q, 0), self._max_q)
+        q = _clamped_floor((abs(float(value)) + 0.5) * self._scale,
+                           self._max_q)
         if n_bits >= self._bits:
             return q
         return q >> (self._bits - n_bits)
@@ -172,41 +193,37 @@ class Quantizer:
             raise ParameterError("average_key of an empty range")
         if n < 8:
             # numpy's pairwise summation degenerates to a plain
-            # left-to-right sum below 8 elements, so a Python sum over
-            # the same doubles is bit-identical — and an order of
-            # magnitude cheaper for the short sub-ranges the multi-hash
-            # search probes.
-            mean = sum(array.tolist()) / n
+            # left-to-right sum below 8 elements, so a Python
+            # left-to-right sum over the same doubles is bit-identical —
+            # and an order of magnitude cheaper for the short sub-ranges
+            # the multi-hash search probes.  Not the builtin sum(): from
+            # Python 3.12 it compensates float rounding.
+            mean = reduce(add, array.tolist()) / n
         else:
             mean = float(np.mean(array))
-        key = math.floor((mean + 0.5) * self._avg_scale)
-        upper = (1 << self.avg_key_bits) - 1
-        return min(max(key, 0), upper)
+        return _clamped_floor((mean + 0.5) * self._avg_scale, self._avg_upper)
+
+    def run_keys(self, sums: "list[float]", length: int) -> "list[int]":
+        """:meth:`average_key` of runs of ``length`` items, from their sums.
+
+        The caller sums each run the way :meth:`average_key` does (left
+        to right below 8 items); this divides by ``length`` and keys
+        with the same float-space clamp, so ``±inf`` saturates and NaN
+        raises ``ValueError``.
+        """
+        floor = math.floor
+        scale = self._avg_scale
+        upper = self._avg_upper
+        upper_f = self._avg_upper_f
+        # _clamped_floor, inlined: this is a per-average loop.
+        return [0 if (x := (total / length + 0.5) * scale) < 0 else
+                upper if x > upper_f else floor(x)
+                for total in sums]
 
     def average_key_scalar(self, value: float) -> int:
         """Average key of a single received item (degenerate sub-range)."""
-        key = math.floor((float(value) + 0.5) * self._avg_scale)
-        upper = (1 << self.avg_key_bits) - 1
-        return min(max(key, 0), upper)
-
-    def average_key_array(self, means) -> np.ndarray:
-        """Vectorized :meth:`average_key` over precomputed sub-range means.
-
-        The caller supplies the means (so it controls the summation
-        order — the bit-identity contract lives there); this applies the
-        ``floor((m + 0.5) * 2^(b + e))`` keying and the clamp as array
-        ops.  ``floor`` of an IEEE double and ``math.floor`` of the same
-        double agree exactly (keys stay far below 2^52), so each entry
-        equals ``average_key`` of a sub-range with that mean.
-        """
-        array = np.asarray(means, dtype=np.float64)
-        keys = np.floor((array + 0.5) * self._avg_scale)
-        upper = (1 << self.avg_key_bits) - 1
-        # Clamp in float space first: received (attacked) streams can sit
-        # far outside the quantizer range, where an int64 cast of the
-        # raw floor would overflow instead of saturating like the
-        # scalar's min/max.
-        return np.clip(keys, 0, upper).astype(np.int64)
+        return _clamped_floor((float(value) + 0.5) * self._avg_scale,
+                              self._avg_upper)
 
     @property
     def average_scale(self) -> float:
@@ -217,3 +234,18 @@ class Quantizer:
     def scale(self) -> float:
         """The ``2^b`` cell count of the value map (dequantize divisor)."""
         return float(self._scale)
+
+
+def _clamped_floor(x: float, upper: int) -> int:
+    """``min(max(floor(x), 0), upper)``, clamped in float space first.
+
+    Bit-identical to floor-then-clamp for every finite ``x`` (``upper``
+    is an integer, so flooring commutes with the clamp), and ``±inf``
+    saturates instead of raising ``OverflowError``.  NaN fails both
+    comparisons and raises ``ValueError`` in ``math.floor``, as before.
+    """
+    if x < 0:
+        return 0
+    if x > upper:
+        return upper
+    return math.floor(x)

@@ -27,17 +27,19 @@ from __future__ import annotations
 from repro.core.params import WatermarkParams
 from repro.core.quantize import Quantizer
 from repro.errors import ParameterError
-from repro.util.hashing import KeyedHasher
+from repro.util.hashing import KeyedHasher, frame_value
 
 
 def selection_message(extreme_value: float, params: WatermarkParams,
-                      quantizer: Quantizer, label: int = 1) -> str:
-    """The key-free input ``msb(ε, β); label`` of the selection hash.
+                      quantizer: Quantizer, label: int = 1) -> bytes:
+    """The key-free input ``msb(ε, β); label`` of the selection hash,
+    framed for :meth:`KeyedHasher.hash_framed`.
 
-    Detection computes it once per major extreme and hashes it under
+    Detection frames it once per major extreme and hashes it under
     every candidate key.
     """
-    return f"sel:{quantizer.msb(extreme_value, params.msb_bits)}:{label}"
+    return frame_value(
+        f"sel:{quantizer.msb(extreme_value, params.msb_bits)}:{label}")
 
 
 def selection_index(extreme_value: float, params: WatermarkParams,
@@ -56,9 +58,8 @@ def selection_index(extreme_value: float, params: WatermarkParams,
     (the labeling-disabled mode) this reduces to the paper's original
     criterion.
     """
-    return hasher.mod_text(
-        selection_message(extreme_value, params, quantizer, label),
-        params.phi)
+    message = selection_message(extreme_value, params, quantizer, label)
+    return hasher.hash_framed(message) % params.phi
 
 
 def select_watermark_bit(extreme_value: float, wm_length: int,
@@ -84,7 +85,7 @@ def bit_position_from_label(label: int, params: WatermarkParams,
     """
     if label <= 0:
         raise ParameterError(f"label must be a positive int, got {label}")
-    return 1 + hasher.mod_text(f"pos:{label}", params.payload_positions)
+    return 1 + hasher.mod(f"pos:{label}", params.payload_positions)
 
 
 def bit_position_from_value(extreme_value: float, params: WatermarkParams,
@@ -95,4 +96,4 @@ def bit_position_from_value(extreme_value: float, params: WatermarkParams,
     :func:`bit_position_from_label`.
     """
     msb_value = quantizer.msb(extreme_value, params.msb_bits)
-    return 1 + hasher.mod_text(f"pos:{msb_value}", params.payload_positions)
+    return 1 + hasher.mod(f"pos:{msb_value}", params.payload_positions)

@@ -493,7 +493,9 @@ class StreamHub:
 
         Sums each resident session's ``encoding_stats()`` (embeds,
         search iterations, pattern-memo probes/hits) and derives the
-        memo hit rate.  Evicted sessions are not restored for this —
+        memo hit rate.  Detection sessions add zeros (batched detection
+        does not probe the memo), so the rate describes the embed
+        search alone.  Evicted sessions are not restored for this —
         their in-memory search state died with them, so the summary is
         a live-fleet view, sampled only when somebody asks (STATUS
         frame, ``--status-interval``); the hot loops keep plain ints.

@@ -337,8 +337,8 @@ class DetectionSession:
         return self._detector.counters.items - self._detector.items_pending
 
     def encoding_stats(self) -> dict:
-        """Lifetime encoding telemetry (probe memo counters; see
-        :meth:`repro.core.detector.StreamDetector.encoding_stats`)."""
+        """Lifetime encoding telemetry; see
+        :meth:`repro.core.detector.StreamDetector.encoding_stats`."""
         return self._detector.encoding_stats()
 
     def feed(self, chunk) -> np.ndarray:

@@ -42,11 +42,12 @@ def _coerce_key(key: "bytes | str | int") -> bytes:
     return raw
 
 
-def _coerce_value(value: "int | bytes | str") -> bytes:
-    """Serialize a hash input deterministically.
+def frame_value(value: "int | bytes | str") -> bytes:
+    """Serialize a hash input deterministically: a 4-byte length prefix,
+    then the body (big-endian for ints, UTF-8 for strings).
 
-    Integers are encoded big-endian with a length prefix so that distinct
-    (value, width) pairs cannot collide by sharing a byte representation.
+    The prefix keeps distinct (value, width) pairs from colliding by
+    sharing a byte representation.  ``H`` hashes ``k ; frame ; k``.
     """
     if isinstance(value, bool):
         raise ParameterError("pass ints, not bools, to the hash")
@@ -63,14 +64,23 @@ def _coerce_value(value: "int | bytes | str") -> bytes:
     raise ParameterError(f"unsupported hash input type: {type(value).__name__}")
 
 
-def hash_to_int(data: bytes, algorithm: str = "md5") -> int:
-    """Hash raw bytes and return the digest as a big-endian integer."""
+def hash_constructor(algorithm: str):
+    """The ``hashlib`` constructor of a supported algorithm.
+
+    Hot loops resolve it once: ``hashlib.new(name, data)`` looks the
+    name up on every call.
+    """
     if algorithm not in _SUPPORTED_ALGORITHMS:
         raise ParameterError(
             f"unsupported hash algorithm {algorithm!r}; "
             f"choose one of {_SUPPORTED_ALGORITHMS}"
         )
-    digest = hashlib.new(algorithm, data).digest()
+    return getattr(hashlib, algorithm)
+
+
+def hash_to_int(data: bytes, algorithm: str = "md5") -> int:
+    """Hash raw bytes and return the digest as a big-endian integer."""
+    digest = hash_constructor(algorithm)(data).digest()
     return int.from_bytes(digest, "big")
 
 
@@ -84,7 +94,7 @@ def H(value: "int | bytes | str", key: "bytes | str | int",
     True
     """
     key_bytes = _coerce_key(key)
-    payload = key_bytes + _coerce_value(value) + key_bytes
+    payload = key_bytes + frame_value(value) + key_bytes
     return hash_to_int(payload, algorithm)
 
 
@@ -95,11 +105,11 @@ class KeyedHasher:
     The embedder, detector and selection criterion all share a single
     :class:`KeyedHasher` so the key is threaded through the system once.
 
-    A digest context pre-fed with the leading key of the keyed sandwich
-    is kept and ``copy()``-ed per call, so the per-probe cost is one
-    block update instead of a from-scratch ``hashlib.new`` over
-    ``key + value + key`` — the selection criterion hashes once per
-    major extreme, which put context setup on the scanning hot path.
+    Every ``H`` digest goes through :meth:`hash_framed`, which hashes
+    ``key + frame + key`` with the algorithm's constructor, resolved
+    once at construction.  The selection criterion is the hot caller:
+    it hashes once per major extreme and key, and detection frames the
+    message once for all keys.
 
     Parameters
     ----------
@@ -115,51 +125,35 @@ class KeyedHasher:
 
     def __init__(self, key: "bytes | str | int", algorithm: str = "md5"):
         object.__setattr__(self, "key", _coerce_key(key))
-        if algorithm not in _SUPPORTED_ALGORITHMS:
-            raise ParameterError(
-                f"unsupported hash algorithm {algorithm!r}; "
-                f"choose one of {_SUPPORTED_ALGORITHMS}"
-            )
+        object.__setattr__(self, "_new", hash_constructor(algorithm))
         object.__setattr__(self, "algorithm", algorithm)
-        base = hashlib.new(algorithm)
-        base.update(self.key)
-        object.__setattr__(self, "_base_context", base)
 
     def __reduce__(self):
-        """Pickle as ``(key, algorithm)`` — the digest context is not
-        picklable, but it is derived state the constructor rebuilds.
-        Needed so detection tasks can cross a process-pool boundary.
+        """Pickle as ``(key, algorithm)``: the resolved constructor is
+        derived state the constructor rebuilds.  Needed so detection
+        tasks can cross a process-pool boundary.
         """
         return (KeyedHasher, (self.key, self.algorithm))
 
     def hash_int(self, value: "int | bytes | str") -> int:
         """Return ``H(value, key)`` as an unbounded integer."""
-        digest_context = self._base_context.copy()
-        digest_context.update(_coerce_value(value))
-        digest_context.update(self.key)
-        return int.from_bytes(digest_context.digest(), "big")
+        return self.hash_framed(frame_value(value))
+
+    def hash_framed(self, framed: bytes) -> int:
+        """``H`` of an input already serialized by :func:`frame_value`.
+
+        This is the one digest of the keyed sandwich ``k ; framed ; k``.
+        The selection hash calls it directly with a message framed once
+        per major extreme (:func:`repro.core.selection.selection_message`).
+        """
+        key = self.key
+        return int.from_bytes(self._new(key + framed + key).digest(), "big")
 
     def mod(self, value: "int | bytes | str", modulus: int) -> int:
         """Return ``H(value, key) mod modulus`` (paper's selection form)."""
         if modulus <= 0:
             raise ParameterError(f"modulus must be positive, got {modulus}")
         return self.hash_int(value) % modulus
-
-    def mod_text(self, text: str, modulus: int) -> int:
-        """:meth:`mod` of a string input, with the coercion inlined.
-
-        Identical digest input to ``mod(text, modulus)`` (length-prefixed
-        UTF-8 between the two key copies); this is the per-major-extreme
-        selection probe, hot enough that the generic dispatch layers
-        show up in profiles.  The modulus is trusted (validated once at
-        parameter construction).
-        """
-        body = text.encode("utf-8")
-        digest_context = self._base_context.copy()
-        digest_context.update(len(body).to_bytes(4, "big"))
-        digest_context.update(body)
-        digest_context.update(self.key)
-        return int.from_bytes(digest_context.digest(), "big") % modulus
 
     def low_bits(self, value: "int | bytes | str", n_bits: int) -> int:
         """Return the ``n_bits`` least significant bits of ``H(value, key)``.
@@ -184,10 +178,13 @@ class KeyedHasher:
 class PatternProber:
     """Batched ``lsb(H(avg_key, label), ω)`` probes with a bounded memo.
 
-    This is the multi-hash convention probe (paper Sec 4.3) factored out
-    of the encoding so both search and detection share one memo and one
-    pre-fed digest context.  The payload is the fixed-width keyed
-    sandwich ``hash(k ; avg_key_8B ; label_8B ; k)`` — identical bytes to
+    This is the multi-hash convention probe (paper Sec 4.3) of the
+    random embed search and of the scalar oracles, which re-test the
+    same averages across candidates.  Batched detection does not use it:
+    it hashes each distinct average of an extreme once per key, and
+    almost never meets the same average again.  The payload is the
+    fixed-width keyed sandwich ``hash(k ; avg_key_8B ; label_8B ; k)`` —
+    identical bytes to
     :func:`repro.core.encoding_multihash.convention_pattern`.
 
     The memo is bounded; when full, the *oldest half* is evicted
@@ -211,11 +208,7 @@ class PatternProber:
 
     def __init__(self, key: bytes, omega: int, algorithm: str = "md5",
                  memo_limit: int = 1 << 16) -> None:
-        if algorithm not in _SUPPORTED_ALGORITHMS:
-            raise ParameterError(
-                f"unsupported hash algorithm {algorithm!r}; "
-                f"choose one of {_SUPPORTED_ALGORITHMS}"
-            )
+        new = hash_constructor(algorithm)
         if omega < 1:
             raise ParameterError(f"omega must be >= 1, got {omega}")
         if memo_limit < 2:
@@ -223,9 +216,7 @@ class PatternProber:
                 f"memo_limit must be >= 2, got {memo_limit}")
         self._key = _coerce_key(key)
         self._mask = (1 << omega) - 1
-        base = hashlib.new(algorithm)
-        base.update(self._key)
-        self._copy = base.copy
+        self._copy = new(self._key).copy
         self._memo: "dict[tuple[int, int], int]" = {}
         self._limit = memo_limit
         self.probes = 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.encoding_initial import Vote
 from repro.core.encoding_multihash import (
     MultihashEncoding,
     active_pairs,
@@ -83,6 +84,24 @@ class TestConventionPattern:
     def test_roughly_uniform(self):
         ones = sum(convention_pattern(b"k", v, 1, 1) for v in range(2000))
         assert 850 < ones < 1150
+
+    def test_vote_counts_what_the_pattern_reads(self):
+        """At every ω, the rare all-ones and all-zeroes patterns wider
+        than the last digest byte included."""
+        tail = (5).to_bytes(8, "big")
+        evidence = [(key.to_bytes(8, "big") + tail, 1 + key % 3)
+                    for key in range(2048)]
+        for omega in range(1, 17):
+            encoding = MultihashEncoding(WatermarkParams(omega=omega),
+                                         QUANTIZER, HASHER)
+            mask = (1 << omega) - 1
+            patterns = [convention_pattern(b"k1", key, 5, omega)
+                        for key in range(2048)]
+            assert encoding.vote(evidence) == Vote(
+                n_true=sum(count for (_, count), pattern
+                           in zip(evidence, patterns) if pattern == mask),
+                n_false=sum(count for (_, count), pattern
+                            in zip(evidence, patterns) if pattern == 0))
 
 
 class TestEmbedDetect:

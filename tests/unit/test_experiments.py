@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ParameterError
@@ -10,6 +12,13 @@ from repro.experiments.config import bench_scale, irtf_params, scaled, synthetic
 from repro.experiments.fig06_labels_epsilon import run_fig6a
 from repro.experiments.fig11_overhead_quality import run_fig11b
 from repro.experiments.runner import ExperimentResult, format_table
+from repro.experiments.throughput import reference_check
+
+#: Recorded embed/detect outputs (marked-stream digest, detection bias
+#: and estimate) that every change to the scan or the encodings must
+#: reproduce bit for bit.
+REFERENCE_BITS = (Path(__file__).resolve().parents[2] / "benchmarks"
+                  / "results" / "reference_bits.json")
 
 
 class TestConfig:
@@ -84,3 +93,8 @@ class TestFigureSmoke:
         for row in result.rows:
             assert row["computed"] == pytest.approx(row["paper_value"],
                                                     rel=0.16)
+
+
+class TestReferenceBits:
+    def test_outputs_match_recorded_reference(self):
+        assert reference_check(str(REFERENCE_BITS)) == []

@@ -544,3 +544,39 @@ class TestStatsObservability:
         assert stats["items_per_s"] is not None and stats["items_per_s"] > 0
         assert stats["busy_seconds"] >= 0.0
         json.dumps(stats)  # the whole row stays JSON-compatible
+
+
+class TestEncodingSummary:
+    """Detection sessions add nothing to the pattern-memo telemetry:
+    batched multi-hash detection never probes the memo, so
+    ``hub_pattern_memo_hit_rate`` describes the embed search alone."""
+
+    #: The random search probes through the memo; one-item runs over
+    #: four-item subsets keep it fast.
+    RANDOM = WatermarkParams(phi=5, active_run_length=1, max_subset_embed=4)
+
+    def test_detection_sessions_report_no_memo_probes(self):
+        values = TemperatureSensorGenerator(eta=60, seed=9).generate(N_ITEMS)
+        session = DetectionSession(1, b"k", params=PARAMS)
+        session.feed(values)
+        session.finish()
+        stats = session.encoding_stats()
+        assert stats["pattern_probes"] == stats["pattern_memo_hits"] == 0
+        assert session.result().votes(0) > 0
+
+    def test_summary_describes_the_embed_search_alone(self):
+        values = TemperatureSensorGenerator(eta=60, seed=9).generate(N_ITEMS)
+
+        def summary(with_detection: bool) -> dict:
+            hub = StreamHub()
+            hub.protect("embed", "1", b"k", params=self.RANDOM,
+                        encoding_options={"method": "random", "rng": 7})
+            hub.push("embed", values)
+            if with_detection:
+                hub.detect("scan", 1, b"k", params=PARAMS)
+                hub.push("scan", values)
+            return hub.encoding_summary()
+
+        embed_only = summary(False)
+        assert embed_only["pattern_probes"] > 0
+        assert summary(True) == embed_only

@@ -30,6 +30,7 @@ from repro.core.scanner import ScanCounters
 from repro.errors import ParameterError
 from repro.hub import StreamHub
 from repro.streams.generators import TemperatureSensorGenerator
+from repro.transforms import uniform_random_sampling
 
 KEY = b"parallel-test-key"
 
@@ -215,6 +216,36 @@ class TestHubBatch:
         right, wrong = results
         assert right.total_bias > wrong.total_bias
         assert right.total_bias > 0
+
+    @pytest.mark.parametrize("encoding", ["multihash", "quadres"])
+    def test_infinite_items_do_not_kill_a_ring_sweep(self, marked,
+                                                     encoding):
+        """At σ/ρ a lone ±inf pivot is a major extreme: its label,
+        selection and vote must saturate like any out-of-range value,
+        not raise for every key of the sweep.  So must +inf beside
+        -inf: a characteristic subset never holds an infinity beside
+        another item (``|inf - x|`` is never below δ), so the NaN
+        average such a pair would make, which abstains, is pinned on
+        the encoding itself (``test_nan_average_abstains``)."""
+        suspect = uniform_random_sampling(marked, 2, rng=31)
+        ring = [KEY, b"ring-b", b"ring-c"]
+        options = {"params": PARAMS, "transform_degree": 2,
+                   "encoding": encoding}
+        at = len(suspect) // 3
+        inf = float("inf")
+        for items in ([inf], [-inf], [inf, -inf]):
+            poisoned = suspect.copy()
+            poisoned[at:at + len(items)] = items
+            finite = suspect.copy()
+            finite[at:at + len(items)] = [1e300 if item > 0 else -1e300
+                                          for item in items]
+            got = StreamHub.detect_batch(
+                [(poisoned, 1, key, options) for key in ring])
+            want = StreamHub.detect_batch(
+                [(finite, 1, key, options) for key in ring])
+            assert got == want
+            if encoding == "multihash":  # the encoding that marked it
+                assert got[0].bias(0) > 0
 
     def test_detect_batch_accepts_tasks(self, marked):
         task = DetectionTask(values=marked, wm_length=1, key=KEY,

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.quantize import Quantizer
-from repro.errors import ParameterError
+from repro.errors import ParameterError, StreamError
 
 normalized = st.floats(min_value=-0.499, max_value=0.499,
                        allow_nan=False, allow_infinity=False)
@@ -126,3 +128,78 @@ class TestAverageKey:
     def test_empty_range_rejected(self):
         with pytest.raises(ParameterError):
             Quantizer(32).average_key([])
+
+    def test_short_ranges_sum_in_numpys_order(self):
+        """Left to right below 8 items, as numpy sums, on every Python:
+        the builtin ``sum`` compensates from 3.12 and would give a mean
+        of 0.25 here."""
+        values = [0.75, 1e300, -1e300]
+        q = Quantizer(32, 8)
+        assert float(np.mean(values)) == 0.0
+        assert q.average_key(values) == q.average_key_scalar(0.0)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=7))
+    def test_run_keys_equal_average_key(self, values):
+        q = Quantizer(24, 8)
+        total = values[0]
+        for value in values[1:]:
+            total += value
+        assert q.run_keys([total], len(values)) == [q.average_key(values)]
+
+
+class TestOutOfRange:
+    """Clamping happens in float space, so ±inf saturates like any
+    out-of-range value, finite results keep floor-then-clamp, and NaN
+    still raises."""
+
+    INF = float("inf")
+
+    def test_infinities_saturate(self):
+        q = Quantizer(16, 8)
+        top, avg_top = 2**16 - 1, 2**24 - 1
+        for value, cell, avg_key in ((self.INF, top, avg_top),
+                                     (-self.INF, 0, 0)):
+            assert q.quantize(value) == cell
+            assert q.quantize_list([value, 0.0]) == [cell, q.quantize(0.0)]
+            assert q.msb(value, 4) == cell >> 12
+            assert q.abs_msb(value, 4) == 0b1111
+            assert q.average_key_scalar(value) == avg_key
+            assert q.average_key([0.1, value]) == avg_key
+            assert q.average_key([value] * 9) == avg_key  # np.mean branch
+            assert q.run_keys([value, 0.0], 3) == \
+                [avg_key, q.average_key_scalar(0.0)]
+            assert q.quantize_array([value, 1e300, -1e300]).tolist() == \
+                [cell, top, 0]
+
+    def test_nan_still_raises(self):
+        q = Quantizer(16, 8)
+        nan = float("nan")
+        for call in (lambda: q.quantize(nan),
+                     lambda: q.quantize_list([0.0, nan]),
+                     lambda: q.msb(nan, 4),
+                     lambda: q.abs_msb(nan, 4),
+                     lambda: q.average_key_scalar(nan),
+                     lambda: q.average_key([0.1, nan]),
+                     lambda: q.run_keys([0.0, nan], 2),
+                     lambda: q.average_key([nan] * 9)):
+            with pytest.raises(ValueError):
+                call()
+        with pytest.raises(StreamError):
+            q.quantize_array([0.0, nan])
+
+    @given(st.floats(min_value=-1e290, max_value=1e290))
+    def test_finite_results_equal_floor_then_clamp(self, value):
+        q = Quantizer(24, 8)
+
+        def reference(x, upper):
+            return min(max(math.floor(x), 0), upper)
+
+        cell = reference((value + 0.5) * 2.0**24, 2**24 - 1)
+        assert q.quantize(value) == cell
+        assert q.quantize_list([value]) == [cell]
+        assert q.msb(value, 10) == cell >> 14
+        assert q.abs_msb(value, 10) == \
+            reference((abs(value) + 0.5) * 2.0**24, 2**24 - 1) >> 14
+        assert q.average_key_scalar(value) == \
+            reference((value + 0.5) * 2.0**32, 2**32 - 1)
