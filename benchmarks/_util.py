@@ -4,7 +4,7 @@ Every bench runs its experiment exactly once through pytest-benchmark's
 pedantic mode (the experiments are deterministic and internally sized;
 statistical timing repetition would only re-run multi-second pipelines),
 prints the paper-vs-measured table, and persists it under
-``benchmarks/results/`` so EXPERIMENTS.md can cite stable artifacts.
+``benchmarks/results/`` so the docs can cite stable artifacts.
 """
 
 from __future__ import annotations

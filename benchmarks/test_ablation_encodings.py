@@ -18,15 +18,15 @@ from _util import report, run_once
 from repro.attacks.correlation import correlation_attack
 from repro.core.detector import detect_watermark
 from repro.core.embedder import watermark_stream
-from repro.experiments.config import DEFAULT_KEY, bench_scale, scaled, synthetic_params
+from repro.experiments.config import DEFAULT_KEY, synthetic_params
 from repro.experiments.datasets import reference_synthetic
 from repro.experiments.runner import ExperimentResult
 from repro.transforms.summarization import summarize
 
 
-def _ablation_summarization(scale: float) -> ExperimentResult:
+def _ablation_summarization() -> ExperimentResult:
     params = synthetic_params()
-    stream = np.array(reference_synthetic(scaled(8000, scale, 2000)))
+    stream = np.array(reference_synthetic(8000))
     result = ExperimentResult(
         experiment_id="ablation-encodings-summarization",
         title="encoding ablation under summarization (degree 3)",
@@ -46,9 +46,9 @@ def _ablation_summarization(scale: float) -> ExperimentResult:
     return result
 
 
-def _ablation_labeling(scale: float) -> ExperimentResult:
+def _ablation_labeling() -> ExperimentResult:
     params = synthetic_params()
-    stream = np.array(reference_synthetic(scaled(24000, scale, 8000)))
+    stream = np.array(reference_synthetic(24000))
     attack = dict(beta_guess=params.msb_bits, alpha_guess=params.lsb_bits,
                   rng=7, prominence=params.prominence, delta=params.delta,
                   bias_threshold=0.25, min_bucket=10)
@@ -82,7 +82,7 @@ def _ablation_labeling(scale: float) -> ExperimentResult:
 
 
 def test_ablation_summarization(benchmark):
-    result = run_once(benchmark, _ablation_summarization, bench_scale())
+    result = run_once(benchmark, _ablation_summarization)
     report(result)
     rows = {row["encoding"]: row for row in result.rows}
     assert rows["multihash"]["summarized_bias"] >= \
@@ -92,7 +92,7 @@ def test_ablation_summarization(benchmark):
 
 
 def test_ablation_labeling(benchmark):
-    result = run_once(benchmark, _ablation_labeling, bench_scale())
+    result = run_once(benchmark, _ablation_labeling)
     report(result)
     rows = {row["scheme"]: row for row in result.rows}
     vulnerable = rows["initial-value-positions"]

@@ -7,11 +7,10 @@ import math
 from _util import report, run_once
 
 from repro.experiments.analysis_tables import run_analysis_table
-from repro.experiments.config import bench_scale
 
 
 def test_sec5_worked_examples(benchmark):
-    result = run_once(benchmark, run_analysis_table, bench_scale())
+    result = run_once(benchmark, run_analysis_table)
     report(result)
     for row in result.rows:
         paper = row["paper_value"]

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from _util import column_is_increasing, report, run_once
 
-from repro.experiments.config import bench_scale
 from repro.experiments.fig06_labels_epsilon import run_fig6a, run_fig6b
 
 
 def test_fig6a_label_sizes(benchmark):
-    result = run_once(benchmark, run_fig6a, bench_scale())
+    result = run_once(benchmark, run_fig6a)
     report(result)
     small = [row["labels_altered_pct"] for row in result.rows
              if row["label_size"] == 10]
@@ -23,7 +22,7 @@ def test_fig6a_label_sizes(benchmark):
 
 
 def test_fig6b_altered_fractions(benchmark):
-    result = run_once(benchmark, run_fig6b, bench_scale())
+    result = run_once(benchmark, run_fig6b)
     report(result)
     one_pct = [row["labels_altered_pct"] for row in result.rows
                if row["tau_pct"] == 1.0]

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from _util import column_is_decreasing, report, run_once
 
-from repro.experiments.config import bench_scale
 from repro.experiments.fig07_wm_epsilon import run_fig7a, run_fig7b
 
 
 def test_fig7a_bias_surface(benchmark):
-    result = run_once(benchmark, run_fig7a, bench_scale())
+    result = run_once(benchmark, run_fig7a)
     report(result)
     clean = next(row["bias"] for row in result.rows
                  if row["tau"] == 0.0 and row["epsilon"] == 0.0)
@@ -20,7 +19,7 @@ def test_fig7a_bias_surface(benchmark):
 
 
 def test_fig7b_tau_slice(benchmark):
-    result = run_once(benchmark, run_fig7b, bench_scale())
+    result = run_once(benchmark, run_fig7b)
     report(result)
     biases = result.column("bias")
     assert column_is_decreasing(biases, tolerance=3.0)

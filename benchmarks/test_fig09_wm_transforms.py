@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from _util import column_is_decreasing, report, run_once
 
-from repro.experiments.config import bench_scale
 from repro.experiments.fig09_wm_transforms import run_fig9a, run_fig9b
 
 
 def test_fig9a_summarization(benchmark):
-    result = run_once(benchmark, run_fig9a, bench_scale())
+    result = run_once(benchmark, run_fig9a)
     report(result)
     biases = result.column("bias")
     assert column_is_decreasing(biases, tolerance=4.0)
@@ -19,7 +18,7 @@ def test_fig9a_summarization(benchmark):
 
 
 def test_fig9b_sampling(benchmark):
-    result = run_once(benchmark, run_fig9b, bench_scale())
+    result = run_once(benchmark, run_fig9b)
     report(result)
     biases = result.column("bias")
     assert column_is_decreasing(biases, tolerance=6.0)

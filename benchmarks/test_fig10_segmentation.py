@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from _util import column_is_increasing, report, run_once
 
-from repro.experiments.config import bench_scale
 from repro.experiments.fig10_segmentation import run_fig10a, run_fig10b
 
 
 def test_fig10a_segment_size(benchmark):
-    result = run_once(benchmark, run_fig10a, bench_scale())
+    result = run_once(benchmark, run_fig10a)
     report(result)
     biases = result.column("bias_mean")
     assert column_is_increasing(biases, tolerance=2.0)
@@ -18,7 +17,7 @@ def test_fig10a_segment_size(benchmark):
 
 
 def test_fig10b_combined_grid(benchmark):
-    result = run_once(benchmark, run_fig10b, bench_scale())
+    result = run_once(benchmark, run_fig10b)
     report(result)
     preserving = [row["bias"] for row in result.rows
                   if row["order"] == "summarize-then-sample"]

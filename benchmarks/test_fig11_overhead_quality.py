@@ -7,13 +7,12 @@ import math
 import pytest
 from _util import column_is_decreasing, report, run_once
 
-from repro.experiments.config import bench_scale
 from repro.experiments.fig11_overhead_quality import run_fig11a, run_fig11b
 
 
 @pytest.mark.slow  # exhaustive-search sweep, multi-second
 def test_fig11a_search_cost(benchmark):
-    result = run_once(benchmark, run_fig11a, bench_scale())
+    result = run_once(benchmark, run_fig11a)
     report(result)
     expected = result.column("expected_random")
     # The paper's exponential: each resilience step multiplies the cost.
@@ -33,7 +32,7 @@ def test_fig11a_search_cost(benchmark):
 
 
 def test_fig11b_quality_impact(benchmark):
-    result = run_once(benchmark, run_fig11b, bench_scale())
+    result = run_once(benchmark, run_fig11b)
     report(result)
     mean_drift = result.column("mean_drift_pct")
     std_drift = result.column("std_drift_pct")

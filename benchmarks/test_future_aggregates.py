@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from _util import report, run_once
 
-from repro.experiments.config import bench_scale
 from repro.experiments.future_aggregates import run_future_aggregates
 
 
 def test_future_aggregates(benchmark):
-    result = run_once(benchmark, run_future_aggregates, bench_scale())
+    result = run_once(benchmark, run_future_aggregates)
     report(result)
     by_aggregate: dict[str, list[int]] = {}
     for row in result.rows:

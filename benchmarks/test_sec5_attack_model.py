@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from _util import report, run_once
 
-from repro.experiments.config import bench_scale
 from repro.experiments.sec5_attack_model import run_sec5_attack_model
 
 
 def test_sec5_attack_model(benchmark):
-    result = run_once(benchmark, run_sec5_attack_model, bench_scale())
+    result = run_once(benchmark, run_sec5_attack_model)
     report(result)
     for row in result.rows:
         # Theory is a floor (it ignores weakened-but-surviving votes and

@@ -1,180 +1,362 @@
-"""Bench: Sec 6.4 — per-item cost of each encoding, plus the hub soak.
+"""Bench: Sec 6.4 per-item cost of each encoding, and the serving bounds.
 
-Prints the human-readable table and builds the machine-readable
-``BENCH_throughput.json`` payload (µs/item and speedup over the seed
-revision's recorded figures, and the 1,000-stream hub soak's µs/item
-next to the single-session figure), but writes nothing under
-``benchmarks/results/``: timings change from run to run, so the tracked
-files change only when someone records them on purpose with
-``python -m repro.experiments.throughput --json``.  It asserts the
-vectorized scan keeps the initial encoding at least 5x faster than the
-seed, and that multiplexing 1,000 concurrent streams through a
-:class:`repro.StreamHub` costs at most 1.5x the per-item price of one
-dedicated session.
+Each test measures one thing through the library and asserts its bound
+next to the measurement; nothing is written under
+``benchmarks/results/``.  Compute-bound figures are process time, so a
+busy co-tenant on a shared host does not read as a slow program.  A
+bound that sits close to its measured value re-measures a fixed number
+of times before failing: the minimum over runs sheds scheduler noise
+but can never manufacture speed.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 from _util import run_once
 
-from repro.experiments.config import bench_scale
+from repro import chaos
+from repro.core.embedder import watermark_stream
+from repro.core.parallel_detect import (
+    DetectionTask,
+    merge_results,
+    run_tasks,
+    split_spans,
+)
+from repro.experiments.config import DEFAULT_KEY, synthetic_params
 from repro.experiments.datasets import reference_synthetic
 from repro.experiments.runner import format_table
 from repro.experiments.throughput import (
+    BENCH_CONFIGURATION_FULL_SCALE,
+    BENCH_CONFIGURATIONS,
     SEED_US_PER_ITEM,
     _embed_time,
     machine_calibration,
-    run_chaos_soak,
-    run_hub_soak,
-    run_loadgen_churn,
-    run_metrics_overhead,
-    run_remote_loopback,
     run_throughput,
-    throughput_json,
 )
+from repro.hub import StreamHub
+from repro.obs import MetricsRegistry
+from repro.obs.loadgen import run_loadgen
+from repro.pipeline import ProtectionSession
+from repro.server.client import RemoteClient
+
+#: This checkout's sources, first on a ``repro`` child's import path.
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Re-measures a bound close to its measured value gets before failing.
+REMEASURES = 3
+
+#: The batched-encoding rows whose speedup over the seed figures is
+#: gated (``initial`` predates them and is gated on its own).
+SPEEDUP_GATED_ROWS = ("quadres", "multihash-pruned-g6",
+                      "multihash-pruned-g3", "multihash-random-g2",
+                      "multihash-random-g3")
+
+
+def _child_env() -> dict:
+    """The environment of a ``repro`` child: inherited, with this
+    checkout's ``src`` first on ``PYTHONPATH``."""
+    path = [str(SRC), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def _chunks(n_items: int, chunk: int) -> "list[np.ndarray]":
+    data = np.asarray(reference_synthetic(n_items))
+    return [data[start:start + chunk] for start in range(0, n_items, chunk)]
+
+
+def _hub_push_seconds(chunks, metrics=None) -> float:
+    """CPU seconds to push ``chunks`` through one ``initial`` stream of a
+    fresh hub and finish it."""
+    hub = StreamHub(metrics=metrics)
+    hub.protect("bench", "1", DEFAULT_KEY, params=synthetic_params(),
+                encoding="initial")
+    start = time.process_time()
+    for piece in chunks:
+        hub.push("bench", piece)
+    hub.finish("bench")
+    return time.process_time() - start
 
 
 def test_throughput_overheads(benchmark):
-    scale = bench_scale()
-    result = run_once(benchmark, run_throughput, scale)
+    """Sec 6.4: the ordering of per-item costs the paper reports."""
+    result = run_once(benchmark, run_throughput)
     print("\n" + format_table(result))
-
-    # Hub soak: 1,000 concurrent small-chunk streams at full scale
-    # (proportionally fewer when the harness shrinks the workload).
-    soak = run_hub_soak(n_streams=max(100, int(1000 * min(scale, 1.0))))
-    print(f"\nhub soak: {soak['n_streams']} streams x "
-          f"{soak['batches_per_stream']} x {soak['chunk']}-item chunks: "
-          f"hub {soak['hub_us_per_item']} us/item vs single "
-          f"{soak['single_session_us_per_item']} us/item "
-          f"(ratio {soak['hub_overhead_ratio']})")
-
-    # Remote loopback: the same pushes through a `repro serve`
-    # subprocess on 127.0.0.1, pricing each transport — framing,
-    # payload codec, loopback round trips, credits — against the
-    # in-process hub, in CPU seconds.
-    loopback = run_remote_loopback(
-        n_items=max(50000, int(200000 * min(scale, 1.0))))
-    print(f"remote loopback: {loopback['items']} items x "
-          f"{loopback['chunk']}-item chunks vs in-process "
-          f"{loopback['inprocess_hub_us_per_item']} us/item:")
-    for name, scenario in loopback["scenarios"].items():
-        print(f"  {name}: {scenario['us_per_item']} us/item "
-              f"(ratio {scenario['overhead_ratio']}), "
-              f"{scenario['bytes_on_wire']} bytes on wire in "
-              f"{scenario['frames_sent']}+{scenario['frames_received']} "
-              f"frames")
-
-    # Observability pricing: an enabled registry must stay within 5% of
-    # the null-instrument push path ("near-zero cost when disabled" has
-    # a measured enabled-side twin).  The margin is thin enough that a
-    # descheduled sample can breach it, so the guard re-measures
-    # (min-of-runs, the standard noise-floor estimator) before failing.
-    overhead = run_metrics_overhead(
-        n_items=max(30000, int(120000 * min(scale, 1.0))))
-    for _ in range(3):
-        if overhead["overhead_ratio"] <= 1.05:
-            break
-        retry = run_metrics_overhead(
-            n_items=max(30000, int(120000 * min(scale, 1.0))))
-        if retry["overhead_ratio"] < overhead["overhead_ratio"]:
-            overhead = retry
-    print(f"metrics overhead: enabled {overhead['enabled_us_per_item']} "
-          f"us/item vs disabled {overhead['disabled_us_per_item']} "
-          f"us/item (ratio {overhead['overhead_ratio']})")
-
-    # Churn harness: concurrent clients crash and resume mid-stream;
-    # the p50/p99 feed latency is the fleet-facing health figure.
-    churn = run_loadgen_churn()
-    print(f"loadgen churn: {churn['workers']} workers, "
-          f"{churn['crashes']} crashes/{churn['resumes']} resumes, "
-          f"push p50 {churn['push_ms']['p50']} ms / p99 "
-          f"{churn['push_ms']['p99']} ms, {churn['items_per_s']} items/s")
-
-    # Chaos soak: the same fleet through a chaotic client transport at
-    # a supervised server running a seeded fault plan (resets, torn
-    # checkpoint writes, forced crashes).  The robustness gate: every
-    # crash is restarted, every stream resumes, and the outputs stay
-    # bit-identical to a fault-free embed.
-    chaos_soak = run_chaos_soak()
-    print(f"chaos soak (seed {chaos_soak['seed']}): "
-          f"{chaos_soak['server_crashes']} server crashes / "
-          f"{chaos_soak['supervisor_restarts']} restarts, "
-          f"{chaos_soak['fault_events']} server-side faults, "
-          f"{chaos_soak['reconnects']} reconnects, "
-          f"verify_failures={chaos_soak['verify_failures']}")
-
-    payload = throughput_json(result, scale, hub_soak=soak,
-                              remote_loopback=loopback,
-                              metrics_overhead=overhead,
-                              loadgen_churn=churn,
-                              chaos_soak=chaos_soak)
-    json.dumps(payload)  # the recorded artifact must stay serializable
-
-    # Enabled metrics stay within 5% µs/item on the initial encoding
-    # push path, and churn must not bend exactly-once delivery.
-    assert overhead["overhead_ratio"] <= 1.05
-    assert churn["verify_failures"] == 0
-    assert not churn["worker_errors"]
-    assert churn["push_ms"]["count"] > 0
-    assert churn["push_ms"]["p50"] is not None
-    assert churn["push_ms"]["p99"] is not None
-
-    # Chaos contract: zero stream loss, bit-identical outputs, the
-    # seeded plan forced at least 3 crash/restart cycles (so the soak
-    # actually exercised recovery), faults really fired, and SIGTERM
-    # still drains cleanly through the supervisor.
-    assert chaos_soak["verify_failures"] == 0
-    assert not chaos_soak["worker_errors"]
-    assert chaos_soak["supervisor_restarts"] >= 3
-    assert chaos_soak["server_crashes"] >= 3
-    assert chaos_soak["fault_events"] > 0
-    assert chaos_soak["supervisor_returncode"] == 0
-
-    # Multiplexing must stay within a small factor of a dedicated
-    # session regardless of machine speed (both sides measured here).
-    assert soak["hub_overhead_ratio"] <= 1.5
-    # The serving layer is a per-item cost, not a per-stream stall:
-    # the binary-codec TCP path measures ~1.05-1.10x the in-process hub
-    # in CPU terms; the ceiling guards against per-item-Python
-    # regressions in the frame path while tolerating codec-level churn.
-    assert loopback["remote_overhead_ratio"] <= 2.0
-
-    rows = {row["configuration"]: row for row in result.rows}
-    baseline = rows["read-and-copy"]["seconds"]
-    assert baseline > 0
-    # Ordering the paper reports: initial encoding is the cheapest
-    # watermarking configuration; exhaustive multi-hash the dearest.
-    initial = rows["initial"]["seconds"]
-    random_g2 = rows["multihash-random-g2"]["seconds"]
-    assert initial <= random_g2
+    seconds = {row["configuration"]: row["seconds"] for row in result.rows}
+    assert seconds["read-and-copy"] > 0
+    # The initial encoding is the cheapest watermarking configuration,
+    # exhaustive multi-hash the dearest.
+    assert seconds["initial"] <= seconds["multihash-random-g2"]
     # The pruned search beats the random search at equal resilience.
-    if "multihash-random-g3" in rows:
-        assert rows["multihash-pruned-g3"]["seconds"] <= \
-            rows["multihash-random-g3"]["seconds"]
-    # The vectorized scan hot path: initial encoding at least 5x faster
-    # (µs/item) than the seed revision's recorded figure.  The recorded
-    # figures are absolute numbers from one (idle) machine, so the
-    # threshold is rescaled by how much slower this machine runs the
-    # seed's own baseline loop (never tightened on faster machines).
-    # The floor sits ~7% under the limit, so a cache-thrashing
-    # co-tenant can push a single sample over it even in CPU time; the
-    # guard re-samples the (cheap) measurement and keeps the minimum —
-    # the standard noise-floor estimator — before declaring a
-    # regression.  Guarded to full-scale runs; tiny streams amortize
-    # fixed costs differently.
-    if scale >= 1.0:
+    assert seconds["multihash-pruned-g3"] <= seconds["multihash-random-g3"]
+
+
+@pytest.mark.parametrize("name", [
+    "initial",
+    # At 6,000 items quadres and multihash-pruned-g3 mostly measure
+    # 4.2-5.2x on a 2-core x86 VM, so tier-1 leaves these rows to
+    # `pytest -m slow`.
+    *[pytest.param(name, marks=pytest.mark.slow)
+      for name in SPEEDUP_GATED_ROWS],
+])
+def test_speedup_floor(name):
+    """Each row runs at least 5x faster than the seed revision's figure.
+
+    The seed figures are absolute numbers from one machine, so each
+    measurement is judged against a calibration probed just before it:
+    a machine that runs the seed's own baseline loop slower owes
+    proportionally less (never more on a faster one).
+    """
+    configurations = BENCH_CONFIGURATIONS + (BENCH_CONFIGURATION_FULL_SCALE,)
+    _, encoding, options, run_length, subset_cap = next(
+        row for row in configurations if row[0] == name)
+    stream = np.asarray(reference_synthetic(6000))
+    speedup = 0.0
+    for _ in range(1 + REMEASURES):
         slowdown = max(
             machine_calibration() / SEED_US_PER_ITEM["read-and-copy"], 1.0)
-        limit = slowdown * SEED_US_PER_ITEM["initial"] / 5.0
-        stream = np.asarray(reference_synthetic(6000))
-        initial_us = rows["initial"]["us_per_item"]
-        for _ in range(10):
-            if initial_us <= limit:
-                break
-            initial_us = min(initial_us,
-                             1e6 * _embed_time(stream, "initial")
-                             / len(stream))
-        assert initial_us <= limit
+        us_per_item = 1e6 * _embed_time(stream, encoding, options,
+                                        run_length, subset_cap) / len(stream)
+        speedup = max(speedup, slowdown * SEED_US_PER_ITEM[name] / us_per_item)
+        if speedup >= 5.0:
+            break
+    assert speedup >= 5.0
+
+
+def test_hub_overhead_at_1000_streams():
+    """1,000 independently keyed streams through one hub cost at most
+    1.5x the per-item price of one dedicated session, at identical
+    chunking (4 pushes of 64 items per stream)."""
+    n_streams = 1000
+    chunks = _chunks(n_streams * 4 * 64, 64)
+    params = synthetic_params()
+
+    single = ProtectionSession("1", DEFAULT_KEY, params=params,
+                               encoding="initial")
+    start = time.process_time()
+    for piece in chunks:
+        single.feed(piece)
+    single.finish()
+    single_seconds = time.process_time() - start
+
+    hub = StreamHub()
+    ids = [f"sensor-{i}" for i in range(n_streams)]
+    for i, stream_id in enumerate(ids):
+        hub.protect(stream_id, "1", b"tenant-%d" % i, params=params,
+                    encoding="initial")
+    routed = [(ids[i % n_streams], piece) for i, piece in enumerate(chunks)]
+    start = time.process_time()
+    for stream_id, piece in routed:
+        hub.push(stream_id, piece)
+    for stream_id in ids:
+        hub.finish(stream_id)
+    hub_seconds = time.process_time() - start
+
+    assert hub_seconds <= 1.5 * single_seconds
+
+
+def test_enabled_metrics_overhead():
+    """An enabled registry costs at most 5% µs/item on the hub push path
+    of the ``initial`` encoding (120k items in 512-item pushes).
+
+    The instruments cost ~1-2 µs per push, far below the swing a
+    burstable host's frequency phases induce between two back-to-back
+    runs, so the two sides are interleaved and each keeps its minimum
+    over 5 runs.
+    """
+    chunks = _chunks(120000, 512)
+
+    def overhead_ratio() -> float:
+        off = on = float("inf")
+        for _ in range(5):
+            off = min(off, _hub_push_seconds(chunks))
+            on = min(on, _hub_push_seconds(chunks, MetricsRegistry()))
+        return on / off
+
+    _hub_push_seconds(chunks)  # warmup: ufunc dispatch, specialization
+    ratio = overhead_ratio()
+    for _ in range(REMEASURES):
+        if ratio <= 1.05:
+            break
+        ratio = min(ratio, overhead_ratio())
+    assert ratio <= 1.05
+
+
+def _cpu_seconds(pid: int) -> float:
+    """CPU seconds (user + system) a live process has consumed."""
+    with open(f"/proc/{pid}/stat", "rb") as handle:
+        fields = handle.read().rsplit(b") ", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                    reason="reads the server's CPU time from procfs")
+def test_remote_tcp_overhead():
+    """Protection through a ``repro serve`` child over tcp costs at most
+    2x the CPU per item of the in-process hub (200k items in
+    16,000-item pushes, checkpointing off, best of 3 each).
+
+    The remote side counts client process time plus the server's CPU
+    delta, so the bound prices the protocol and the kernel, not a
+    neighbour's burst.
+    """
+    data = np.asarray(reference_synthetic(200000))
+    chunk = 16000
+    hub_seconds = min(_hub_push_seconds(_chunks(len(data), chunk))
+                      for _ in range(3))
+
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--checkpoint-every", "0", "--credits", "8"],
+        stdout=subprocess.PIPE, text=True, env=_child_env())
+    try:
+        serving = json.loads(server.stdout.readline())["serving"]
+        remote_seconds = float("inf")
+        for attempt in range(3):
+            with RemoteClient(serving["host"], serving["port"],
+                              push_items=chunk) as client:
+                session = client.protect(f"bench-{attempt}", "1",
+                                         DEFAULT_KEY,
+                                         params=synthetic_params(),
+                                         encoding="initial")
+                server_start = _cpu_seconds(server.pid)
+                start = time.process_time()
+                session.feed(data)
+                session.finish()
+                remote_seconds = min(
+                    remote_seconds, time.process_time() - start
+                    + _cpu_seconds(server.pid) - server_start)
+    finally:
+        server.send_signal(signal.SIGTERM)
+        try:
+            server.wait(timeout=30)
+        finally:
+            if server.poll() is None:
+                server.kill()
+            server.stdout.close()
+
+    assert remote_seconds <= 2.0 * hub_seconds
+
+
+def test_chaos_soak(tmp_path):
+    """Supervised serving under a seeded fault plan loses nothing.
+
+    ``repro supervise`` runs a ``repro serve`` child with connection
+    resets, torn checkpoint writes, transient store EIO and forced
+    crashes; a churn fleet drives it through a chaotic client transport
+    (latency, resets, mid-frame truncation).  Every stream must come
+    back bit-identical to a fault-free local embed, the plan must
+    really fire and force at least 3 crash/restart cycles, and SIGTERM
+    must still drain cleanly through the supervisor.
+    """
+    plan = chaos.FaultPlan(
+        seed=1104,
+        client_transport=chaos.TransportFaults(
+            latency_rate=0.05, latency_ms=(0.1, 0.8),
+            reset_rate=0.02, truncate_rate=0.01),
+        server_transport=chaos.TransportFaults(reset_rate=0.01),
+        store=chaos.StoreFaults(torn_write_rate=0.05, io_error_rate=0.05),
+        process=chaos.ProcessFaults(crash_after_pushes=(6, 10)),
+    )
+    plan_path = tmp_path / "plan.json"
+    plan.dump(str(plan_path))
+    faults_path = tmp_path / "faults.jsonl"
+    # A fixed port: the child must come back on the same address after
+    # every crash, or the fleet's redials would land in the void.
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+
+    supervisor = subprocess.Popen(
+        [sys.executable, "-m", "repro", "supervise",
+         "--max-restarts", "100", "--restart-window", "300",
+         "--backoff-base", "0.05", "--backoff-max", "0.2", "--",
+         "--port", str(port), "--store", str(tmp_path / "store"),
+         "--chaos", str(plan_path), "--chaos-log", str(faults_path),
+         "--json"],
+        stdout=subprocess.PIPE, text=True, env=_child_env())
+    lines: "list[str]" = []
+    serving = threading.Event()
+
+    def drain() -> None:
+        for line in supervisor.stdout:
+            lines.append(line)
+            if '"serving"' in line:
+                serving.set()
+        serving.set()  # EOF unblocks the waiter on a startup failure
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    try:
+        assert serving.wait(timeout=30) and supervisor.poll() is None, \
+            "".join(lines)
+        chaos.install(plan, inner="tcp", side="client")
+        try:
+            summary = run_loadgen(
+                workers=3, pushes=12, chunk=128, crash_every=4,
+                host="127.0.0.1", port=port, transport="chaos",
+                verify_bits=True,
+                retry=chaos.RetryPolicy(attempts=200, base_delay=0.02,
+                                        max_delay=0.25, deadline=120.0,
+                                        op_timeout=15.0))
+        finally:
+            chaos.uninstall()
+    finally:
+        supervisor.send_signal(signal.SIGTERM)
+        try:
+            returncode = supervisor.wait(timeout=30)
+        finally:
+            if supervisor.poll() is None:
+                supervisor.kill()
+            reader.join(timeout=10)
+            supervisor.stdout.close()
+
+    actions = []
+    for line in lines:
+        try:
+            event = json.loads(line)
+        except ValueError:
+            continue
+        if event.get("event") == "supervisor":
+            actions.append((event.get("action"), event.get("returncode")))
+    restarts = sum(action == "start" for action, _ in actions) - 1
+    crashes = sum(action == "exit" and bool(code) for action, code in actions)
+    assert summary["verify_failures"] == 0
+    assert summary["worker_errors"] == []
+    assert restarts >= 3
+    assert crashes >= 3
+    assert faults_path.read_text().strip()  # the plan fired server-side
+    assert returncode == 0
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 4,
+                    reason="4-way span scaling needs at least 4 cores")
+def test_span_parallel_scaling():
+    """Detection of one marked 70k-item stream cut into 4 spans runs at
+    least 2.5x faster (wall clock) on a 4-worker pool than serially,
+    and merges to the same result."""
+    params = synthetic_params()
+    marked, _ = watermark_stream(np.asarray(reference_synthetic(70000)),
+                                 "1", DEFAULT_KEY, params=params)
+    tasks = [DetectionTask(values=marked[start:end], wm_length=1,
+                           key=DEFAULT_KEY, params=params)
+             for start, end in split_spans(len(marked), 4,
+                                           min_span=8 * params.window_size)]
+    start = time.perf_counter()
+    serial = run_tasks(tasks, workers=None)
+    serial_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    pooled = run_tasks(tasks, workers=4)
+    pooled_seconds = time.perf_counter() - start
+    assert merge_results(pooled) == merge_results(serial)
+    assert serial_seconds >= 2.5 * pooled_seconds

@@ -390,11 +390,12 @@ class MultihashEncoding:
         over the already-fixed items ``i..k-1`` (valid for as long as
         item ``k``'s ladder is live, because backtracking from ``k+1``
         never touches them), reducing each probe to one add, one divide
-        and one keying; and the convention probes share the
-        :class:`~repro.util.hashing.PatternProber` memo.  Candidates are
-        still *decided* sequentially, so the accepted configuration, the
-        iteration and hash-evaluation counts and both raise points are
-        bit-identical to :meth:`_search_pruned_scalar` (property-tested).
+        and one keying; and each convention probe is inlined, with no
+        memo (one copy of a key-fed digest context, one update, one
+        mask).  Candidates are still *decided* sequentially, so the
+        accepted configuration, the iteration and hash-evaluation counts
+        and both raise points are bit-identical to
+        :meth:`_search_pruned_scalar` (property-tested).
         """
         params = self._params
         quantizer = self._quantizer
@@ -412,11 +413,11 @@ class MultihashEncoding:
                   for v in quantizer.dequantize_array(q_segment)]
 
         # The search probes fresh (avg_key, label) pairs almost
-        # exclusively — the prober's memo serves detection's overlapping
-        # subsets, but here a memoized miss costs more than the hash —
-        # so the convention probe is inlined: one context copy off the
-        # key-fed base, one update, and (for the usual ω <= 8) a single
-        # trailing-byte mask, the lsb() of the digest.
+        # exclusively, so a memo would nearly always miss, and a miss
+        # costs more than the hash.  The convention probe is therefore
+        # inlined: one context copy off the key-fed base, one update,
+        # and (for the usual ω <= 8) a single trailing-byte mask, the
+        # lsb() of the digest.
         base = hashlib.new(self._algorithm)
         base.update(self._key)
         context_copy = base.copy

@@ -4,12 +4,11 @@ One module per figure; each exposes a ``run(scale=1.0)`` function
 returning an :class:`repro.experiments.runner.ExperimentResult` whose
 rows regenerate the figure's series.  The pytest-benchmark files under
 ``benchmarks/`` are thin wrappers that time these functions and print
-the paper-vs-measured tables (recorded in EXPERIMENTS.md).
+the paper-vs-measured tables (recorded under ``benchmarks/results/``).
 """
 
 from repro.experiments.config import (
     DEFAULT_KEY,
-    bench_scale,
     irtf_params,
     synthetic_params,
 )
@@ -23,7 +22,6 @@ from repro.experiments.runner import ExperimentResult, format_table
 
 __all__ = [
     "DEFAULT_KEY",
-    "bench_scale",
     "irtf_params",
     "synthetic_params",
     "marked_irtf",

@@ -10,15 +10,12 @@
   re-tuned per deployment, exactly as the paper tuned δ and η to its
   data.  The watermark/selection machinery is unchanged.
 
-``bench_scale()`` lets the benchmark harness shrink or grow workloads
-through the ``REPRO_BENCH_SCALE`` environment variable without touching
-the experiment definitions (scale 1.0 keeps every bench in the seconds
-range; the EXPERIMENTS.md tables were produced at scale 1.0).
+Every experiment takes a ``scale`` workload multiplier; the benches run
+each at the default 1.0, which produced the tables recorded under
+``benchmarks/results/``.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.core.params import WatermarkParams
 
@@ -49,16 +46,6 @@ def irtf_params() -> WatermarkParams:
     """
     return WatermarkParams().with_updates(prominence=0.015, delta=0.01,
                                           lambda_bits=8, skip=1)
-
-
-def bench_scale() -> float:
-    """Workload multiplier for benchmarks (``REPRO_BENCH_SCALE``)."""
-    raw = os.environ.get("REPRO_BENCH_SCALE", "1.0")
-    try:
-        scale = float(raw)
-    except ValueError:
-        return 1.0
-    return min(max(scale, 0.1), 10.0)
 
 
 def scaled(n: int, scale: float, minimum: int = 1) -> int:

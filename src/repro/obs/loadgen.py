@@ -1,6 +1,6 @@
 """Churn load harness: a client fleet that connects, pushes, crashes.
 
-``repro loadgen`` (and the ``loadgen_churn`` benchmark scenario) drives
+``repro loadgen`` (and the churn and chaos-soak tests) drives
 ``workers`` concurrent clients against one
 :class:`~repro.server.service.StreamService` — a spawned in-process
 server on a free port by default, or any running ``repro serve``

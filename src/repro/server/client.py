@@ -319,9 +319,9 @@ class AsyncRemoteClient:
         """Traffic snapshot: the transport plus byte/frame counters.
 
         ``bytes_*`` count frame bodies (what the codec produced),
-        without the transport's per-message framing overhead; the
-        throughput bench records them per scenario as
-        ``bytes_on_wire``.
+        without the transport's per-message framing overhead.  The
+        repo benchmark (``perfbench/served.py``) reads them for its
+        ``protocol.bytes_per_item`` figure.
         """
         return {
             "transport": self._transport_name,

@@ -20,8 +20,10 @@ deployment shape (client code has no asyncio in sight).
 from __future__ import annotations
 
 import asyncio
+import os
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,9 @@ from repro.streams.generators import TemperatureSensorGenerator
 
 PARAMS = WatermarkParams(phi=5)
 KEY = b"server-test-key"
+
+#: This checkout's sources, first on a ``repro`` child's import path.
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 #: Reconnect budget for tests that kill the server under a client.
@@ -721,22 +726,27 @@ class TestObservability:
         assert np.array_equal(marked, reference)
         assert client.reconnects >= 1
 
-    def test_loadgen_smoke(self, tmp_path):
-        """A tiny churn fleet: exactly-once holds, latency is measured,
-        and the spawned server's lifetime counters ride along."""
+    @pytest.mark.parametrize("workers,pushes,chunk,crash_every", [
+        pytest.param(3, 6, 128, 2, id="small"),
+        pytest.param(6, 10, 256, 3, id="bench"),
+    ])
+    def test_loadgen_smoke(self, workers, pushes, chunk, crash_every):
+        """A churn fleet: exactly-once holds, latency is measured, and
+        the spawned server's lifetime counters ride along."""
         from repro.obs.loadgen import run_loadgen
 
-        summary = run_loadgen(workers=3, pushes=6, chunk=128,
-                              crash_every=2, verify_bits=True)
+        summary = run_loadgen(workers=workers, pushes=pushes, chunk=chunk,
+                              crash_every=crash_every, verify_bits=True)
         assert summary["verify_failures"] == 0
         assert summary["worker_errors"] == []
-        assert summary["items"] == 3 * 6 * 128
+        assert summary["items"] == workers * pushes * chunk
         assert summary["crashes"] > 0
         assert summary["resumes"] == summary["crashes"]
-        assert summary["push_ms"]["count"] == 3 * (6 + 1)  # feeds + finish
+        # One latency sample per feed plus the finish.
+        assert summary["push_ms"]["count"] == workers * (pushes + 1)
         assert summary["push_ms"]["p50"] is not None
         assert summary["push_ms"]["p99"] is not None
-        assert summary["server"]["pushes"] >= 3 * 6
+        assert summary["server"]["pushes"] >= workers * pushes
 
 
 class TestServeJsonLifecycle:
@@ -755,8 +765,8 @@ class TestServeJsonLifecycle:
              "--store", str(tmp_path / "store"), "--json",
              "--status-interval", "0.2"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-            cwd="/root/repo")
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))})
         try:
             ready = json.loads(server.stdout.readline())
             assert ready["event"] == "ready"

@@ -1,24 +1,59 @@
-"""Smoke tests for the experiment harness (figures run at tiny scale)."""
+"""Smoke tests for the experiment harness (figures run at tiny scale).
+
+``TestReferenceBits`` pins embed and detect outputs bit for bit.  After
+a deliberate output change, re-record the reference from the repository
+root with::
+
+    PYTHONPATH=src:tests/unit python -c "import json, test_experiments as t; print(json.dumps(t.reference_outputs(), indent=1))" > benchmarks/results/reference_bits.json
+"""
 
 from __future__ import annotations
 
+import hashlib
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.core.detector import detect_watermark
+from repro.core.embedder import watermark_stream
 from repro.errors import ParameterError
 from repro.experiments.analysis_tables import run_analysis_table
-from repro.experiments.config import bench_scale, irtf_params, scaled, synthetic_params
+from repro.experiments.config import DEFAULT_KEY, irtf_params, scaled, synthetic_params
+from repro.experiments.datasets import reference_synthetic
 from repro.experiments.fig06_labels_epsilon import run_fig6a
 from repro.experiments.fig11_overhead_quality import run_fig11b
 from repro.experiments.runner import ExperimentResult, format_table
-from repro.experiments.throughput import reference_check
 
 #: Recorded embed/detect outputs (marked-stream digest, detection bias
 #: and estimate) that every change to the scan or the encodings must
 #: reproduce bit for bit.
 REFERENCE_BITS = (Path(__file__).resolve().parents[2] / "benchmarks"
                   / "results" / "reference_bits.json")
+
+
+def reference_outputs() -> dict:
+    """Embed and detect the fixed 3k-item reference stream under each
+    pinned encoding (watermark ``101``, φ=5); digest the outputs."""
+    stream = np.array(reference_synthetic(3000))
+    params = synthetic_params().with_updates(phi=5)
+    outputs = {}
+    for encoding in ("multihash", "initial", "quadres"):
+        marked, report = watermark_stream(stream, "101", DEFAULT_KEY,
+                                          params=params, encoding=encoding)
+        detection = detect_watermark(marked, 3, DEFAULT_KEY, params=params,
+                                     encoding=encoding)
+        outputs[encoding] = {
+            "n_items": len(stream),
+            "watermark": "101",
+            "marked_sha256": hashlib.sha256(marked.tobytes()).hexdigest(),
+            "embedded": report.embedded,
+            "bias": [detection.bias(i) for i in range(detection.wm_length)],
+            "wm_estimate": [None if b is None else bool(b)
+                            for b in detection.wm_estimate()],
+        }
+    return outputs
 
 
 class TestConfig:
@@ -30,14 +65,6 @@ class TestConfig:
     def test_irtf_params_tuned_finer(self):
         assert irtf_params().prominence < synthetic_params().prominence
         assert irtf_params().lambda_bits < synthetic_params().lambda_bits
-
-    def test_bench_scale_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "2.5")
-        assert bench_scale() == 2.5
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "bogus")
-        assert bench_scale() == 1.0
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "99")
-        assert bench_scale() == 10.0  # clamped
 
     def test_scaled(self):
         assert scaled(100, 0.5) == 50
@@ -97,4 +124,4 @@ class TestFigureSmoke:
 
 class TestReferenceBits:
     def test_outputs_match_recorded_reference(self):
-        assert reference_check(str(REFERENCE_BITS)) == []
+        assert reference_outputs() == json.loads(REFERENCE_BITS.read_text())
