@@ -64,7 +64,6 @@ from repro.core.extremes import (
 from repro.core.labels import StreamingLabeler, label_from_history, labels_for_extreme_values
 from repro.core.parallel_detect import (
     DetectionTask,
-    detect_many,
     detect_watermark_spans,
     merge_results,
     run_tasks,
@@ -121,7 +120,6 @@ __all__ = [
     "is_quadratic_residue",
     "jacobi_symbol",
     "DetectionTask",
-    "detect_many",
     "detect_watermark_spans",
     "merge_results",
     "run_tasks",

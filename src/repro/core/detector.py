@@ -298,8 +298,8 @@ class StreamDetector(StreamScanner):
         """Lifetime telemetry from the encoding strategy, if it keeps any.
 
         The same pull-based observability hook the embedder exposes.
-        Detection never embeds, and batched multi-hash detection does
-        not probe the pattern memo, so its ``embeds``,
+        Detection never embeds, and multi-hash detection does not
+        probe the pattern memo, so its ``embeds``,
         ``search_iterations``, ``pattern_probes`` and
         ``pattern_memo_hits`` stay 0.
         """

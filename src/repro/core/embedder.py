@@ -129,6 +129,11 @@ class StreamWatermarker(StreamScanner):
         """The payload being embedded (defensive copy)."""
         return list(self._wm_bits)
 
+    @property
+    def encoding(self):
+        """The bit-encoding strategy object this embedder drives."""
+        return self._encoding
+
     def encoding_stats(self) -> dict:
         """Lifetime telemetry from the encoding strategy, if it keeps any.
 

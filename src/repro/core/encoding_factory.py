@@ -43,7 +43,10 @@ def build_encoding(encoding, params: WatermarkParams, quantizer: Quantizer,
 
     Options are forwarded to the strategy constructor, e.g.
     ``build_encoding("multihash", ..., method="random")`` or
-    ``build_encoding("initial", ..., use_label_positions=False)``.
+    ``build_encoding("initial", ..., use_label_positions=False)``.  An
+    option the constructor does not accept raises
+    :class:`ParameterError`, like an unknown name: options can arrive
+    from outside the program (an OPEN frame, a checkpoint).
     """
     if not isinstance(encoding, str):
         required = ("embed", "detect")
@@ -60,7 +63,11 @@ def build_encoding(encoding, params: WatermarkParams, quantizer: Quantizer,
         # (RegistryError is also a ValueError, but callers catch
         # ParameterError specifically).
         raise ParameterError(str(exc)) from None
-    return strategy_cls(params, quantizer, hasher, **options)
+    try:
+        return strategy_cls(params, quantizer, hasher, **options)
+    except TypeError as exc:
+        raise ParameterError(
+            f"bad options for encoding {encoding!r}: {exc}") from None
 
 
 def __getattr__(name: str):

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -105,13 +104,14 @@ class MultihashStats:
 def _ladder_block(low: int, d0: int, d1: int, limit: int) -> "list[int]":
     """Candidate lows for distances ``d0 <= d < d1``, in ladder order.
 
-    Produces the exact subsequence of ``_candidates_by_distance`` — for
-    every distance ``d`` the lower neighbour (if ``>= 0``) before the
-    upper (if ``< limit``), with distance 0 emitting the original low
-    once — but materialized at C speed: the interleaved region where
-    both neighbours are in range is two slice assignments from ``range``
-    objects, and the one-sided tail past the nearer boundary is a single
-    ``range`` extend.  No per-candidate Python bytecode runs.
+    Produces the exact subsequence of the distance-ordered candidate
+    ladder — for every distance ``d`` the lower neighbour (if ``>= 0``)
+    before the upper (if ``< limit``), with distance 0 emitting the
+    original low once — but materialized at C speed: the interleaved
+    region where both neighbours are in range is two slice assignments
+    from ``range`` objects, and the one-sided tail past the nearer
+    boundary is a single ``range`` extend.  No per-candidate Python
+    bytecode runs.
     """
     head = [low] if d0 == 0 else []
     a = d0 or 1
@@ -143,8 +143,8 @@ class MultihashEncoding:
 
     def __init__(self, params: WatermarkParams, quantizer: Quantizer,
                  hasher: KeyedHasher, method: str = "pruned",
-                 rng: "int | np.random.Generator | None" = None,
-                 batched: bool = True) -> None:
+                 rng: "int | np.random.Generator | dict | None" = None
+                 ) -> None:
         if method not in ("pruned", "random"):
             raise ParameterError(
                 f"method must be 'pruned' or 'random', got {method!r}"
@@ -155,19 +155,18 @@ class MultihashEncoding:
         self._algorithm = hasher.algorithm
         self._method = method
         self._rng = make_rng(rng)
-        self._batched = bool(batched)
         self.last_stats: "MultihashStats | None" = None
         # Lifetime observability totals (updated once per embed, read
         # by stats_snapshot() at STATUS-snapshot time — never pushed
         # from the search loop itself).
         self.embeds = 0
         self.total_search_iterations = 0
-        # The random search and the scalar oracles probe through a
-        # PatternProber: a digest context pre-fed with the leading key
-        # plus a bounded (avg_key, label) memo, because they re-test the
-        # same averages across candidates.  Batched detection does not:
-        # its keyed pass (vote) hashes each distinct average of an
-        # extreme once through the constructor resolved here.
+        # The random search probes through a PatternProber: a digest
+        # context pre-fed with the leading key plus a bounded
+        # (avg_key, label) memo, because it re-tests the same averages
+        # across candidate rows.  Detection does not: its keyed pass
+        # (vote) hashes each distinct average of an extreme once
+        # through the constructor resolved here.
         self._prober = PatternProber(self._key, params.omega,
                                      self._algorithm,
                                      self._PATTERN_MEMO_LIMIT)
@@ -175,9 +174,6 @@ class MultihashEncoding:
 
     # ------------------------------------------------------------------
     _PATTERN_MEMO_LIMIT = 1 << 16
-
-    def _pattern(self, avg_key: int, label: int) -> int:
-        return self._prober.pattern(avg_key, label)
 
     def _target(self, bit: bool) -> int:
         return (1 << self._params.omega) - 1 if bit else 0
@@ -211,18 +207,26 @@ class MultihashEncoding:
         working = list(q_subset)
         segment = working[start:end]
         target = self._target(bit)
-        if self._method == "pruned":
-            search = (self._search_pruned if self._batched
-                      else self._search_pruned_scalar)
-        else:
-            search = (self._search_random if self._batched
-                      else self._search_random_scalar)
+        search = (self._search_pruned if self._method == "pruned"
+                  else self._search_random)
         new_segment, stats = search(segment, label, target)
         working[start:end] = new_segment
         self.last_stats = stats
         self.embeds += 1
         self.total_search_iterations += stats.iterations
         return EmbedOutcome(q_values=working, iterations=stats.iterations)
+
+    @property
+    def rng_state(self) -> "dict | None":
+        """The random search's generator position, in JSON ints.
+
+        A checkpoint carries it as the ``rng`` option, so a resumed
+        session continues the stream instead of re-seeding it.  ``None``
+        for the pruned search, which draws nothing.
+        """
+        if self._method != "random":
+            return None
+        return self._rng.bit_generator.state
 
     def stats_snapshot(self) -> dict:
         """Lifetime search/memo telemetry (JSON-safe, pull-based)."""
@@ -250,8 +254,9 @@ class MultihashEncoding:
         block start and re-advanced by exactly the rows the scalar
         search would have drawn, so the chosen configuration, the
         iteration/hash-evaluation stats, the raise point *and* the
-        post-embed RNG stream position are all bit-identical to
-        :meth:`_search_random_scalar` (property-tested).
+        post-embed RNG stream position are all bit-identical to the
+        per-row scalar search (property-tested against the reference in
+        ``tests/oracles.py``).
         """
         params = self._params
         quantizer = self._quantizer
@@ -321,63 +326,7 @@ class MultihashEncoding:
             f"iterations for {len(pairs)} constraints"
         )
 
-    def _search_random_scalar(self, q_segment: list[int], label: int,
-                              target: int) -> tuple[list[int],
-                                                    MultihashStats]:
-        """Paper-baseline exhaustive/randomized search (exponential)."""
-        params = self._params
-        size = len(q_segment)
-        pairs = active_pairs(size, params.active_run_length)
-        mask = (1 << params.lsb_bits) - 1
-        highs = [q & ~mask for q in q_segment]
-        floats = np.asarray(self._quantizer.dequantize_array(q_segment),
-                            dtype=np.float64)
-        hash_evals = 0
-        for iteration in range(1, params.max_search_iterations + 1):
-            lows = self._rng.integers(0, mask + 1, size=size)
-            candidate = [highs[i] | int(lows[i]) for i in range(size)]
-            floats = self._quantizer.dequantize_array(candidate)
-            ok = True
-            for (i, j) in pairs:
-                avg_key = self._quantizer.average_key(floats[i:j + 1])
-                hash_evals += 1
-                if self._pattern(avg_key, label) != target:
-                    ok = False
-                    break
-            if ok:
-                stats = MultihashStats(iterations=iteration,
-                                       hash_evaluations=hash_evals,
-                                       constraints=len(pairs))
-                return candidate, stats
-        raise EncodingSearchExhausted(
-            f"random search exhausted {params.max_search_iterations} "
-            f"iterations for {len(pairs)} constraints"
-        )
-
     # ------------------------------------------------------------------
-    def _candidates_by_distance(self, original_low: int,
-                                limit: int) -> Iterator[int]:
-        """Enumerate low-bit candidates by increasing |candidate - original|.
-
-        Implements the minimize-distance aim: the first satisfying
-        configuration found is also (per item) the closest one.
-        """
-        yield original_low
-        distance = 1
-        while True:
-            emitted = False
-            lower = original_low - distance
-            upper = original_low + distance
-            if lower >= 0:
-                yield lower
-                emitted = True
-            if upper < limit:
-                yield upper
-                emitted = True
-            if not emitted:
-                return
-            distance += 1
-
     def _search_pruned(self, q_segment: list[int], label: int,
                        target: int) -> tuple[list[int], MultihashStats]:
         """Batched backtracking search over precomputed candidate ladders.
@@ -394,8 +343,9 @@ class MultihashEncoding:
         memo (one copy of a key-fed digest context, one update, one
         mask).  Candidates are still *decided* sequentially, so the
         accepted configuration, the iteration and hash-evaluation counts
-        and both raise points are bit-identical to
-        :meth:`_search_pruned_scalar` (property-tested).
+        and both raise points are bit-identical to the per-candidate
+        scalar search (property-tested against the reference in
+        ``tests/oracles.py``).
         """
         params = self._params
         quantizer = self._quantizer
@@ -601,71 +551,6 @@ class MultihashEncoding:
                                constraints=len(pairs))
         return candidate, stats
 
-    def _search_pruned_scalar(self, q_segment: list[int], label: int,
-                              target: int) -> tuple[list[int],
-                                                    MultihashStats]:
-        """Backtracking left-to-right search (linear in subset size)."""
-        params = self._params
-        size = len(q_segment)
-        pairs = active_pairs(size, params.active_run_length)
-        ends_at: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-        for (i, j) in pairs:
-            ends_at[j].append((i, j))
-        mask = (1 << params.lsb_bits) - 1
-        limit = mask + 1
-        highs = [q & ~mask for q in q_segment]
-        original_lows = [q & mask for q in q_segment]
-        candidate = list(q_segment)
-        floats = np.asarray(self._quantizer.dequantize_array(q_segment),
-                            dtype=np.float64)
-
-        iterators: list[Iterator[int]] = [iter(()) for _ in range(size)]
-        iterations = 0
-        hash_evals = 0
-        k = 0
-        iterators[0] = self._candidates_by_distance(original_lows[0], limit)
-        while 0 <= k < size:
-            advanced = False
-            for low in iterators[k]:
-                iterations += 1
-                if iterations > params.max_search_iterations:
-                    raise EncodingSearchExhausted(
-                        f"pruned search exhausted "
-                        f"{params.max_search_iterations} iterations"
-                    )
-                candidate[k] = highs[k] | low
-                floats[k] = self._quantizer.dequantize(candidate[k])
-                ok = True
-                for (i, j) in ends_at[k]:
-                    avg_key = self._quantizer.average_key(floats[i:j + 1])
-                    hash_evals += 1
-                    if self._pattern(avg_key, label) != target:
-                        ok = False
-                        break
-                if ok:
-                    advanced = True
-                    break
-            if advanced:
-                k += 1
-                if k < size:
-                    iterators[k] = self._candidates_by_distance(
-                        original_lows[k], limit)
-            else:
-                # Exhausted this item's space: restore and backtrack.
-                candidate[k] = q_segment[k]
-                floats[k] = self._quantizer.dequantize(candidate[k])
-                k -= 1
-        if k < 0:
-            raise EncodingSearchExhausted(
-                "pruned search backtracked out of the subset "
-                f"({len(pairs)} constraints unsatisfiable in "
-                f"{params.lsb_bits}-bit space)"
-            )
-        stats = MultihashStats(iterations=iterations,
-                               hash_evaluations=hash_evals,
-                               constraints=len(pairs))
-        return candidate, stats
-
     # ------------------------------------------------------------------
     def detect(self, float_subset: np.ndarray, extreme_offset: int,
                label: int) -> Vote:
@@ -680,11 +565,9 @@ class MultihashEncoding:
         Detection is two passes: the key-free :meth:`evidence` and the
         keyed :meth:`vote`.  A detector screening several keys runs the
         first once per extreme and the second once per key; this is the
-        one-key case.  The vote equals :meth:`detect_scalar`'s
-        (property-tested).
+        one-key case.  The vote equals a per-pair scalar count
+        (property-tested against the reference in ``tests/oracles.py``).
         """
-        if not self._batched:
-            return self.detect_scalar(float_subset, extreme_offset, label)
         return self.vote(self.evidence(float_subset, extreme_offset, label))
 
     def evidence(self, float_subset: np.ndarray, extreme_offset: int,
@@ -703,8 +586,8 @@ class MultihashEncoding:
 
         An average that is NaN (a run holding both ``+inf`` and
         ``-inf``, or whose sum overflows both ways) has no key: the
-        subset then gives no evidence and its vote abstains, in
-        :meth:`detect_scalar` too.
+        subset then gives no evidence and its vote abstains, in the
+        scalar reference too.
         """
         if len(float_subset) == 0:
             raise ParameterError("cannot detect in an empty subset")
@@ -756,30 +639,4 @@ class MultihashEncoding:
                 n_true += count
             elif pattern == 0:
                 n_false += count
-        return Vote(n_true=n_true, n_false=n_false)
-
-    def detect_scalar(self, float_subset: np.ndarray, extreme_offset: int,
-                      label: int) -> Vote:
-        """Per-pair scalar reference of :meth:`detect` (the oracle)."""
-        if len(float_subset) == 0:
-            raise ParameterError("cannot detect in an empty subset")
-        start, end = self._trim(len(float_subset), extreme_offset,
-                                self._params.max_subset_detect)
-        segment = np.asarray(float_subset[start:end], dtype=np.float64)
-        pairs = active_pairs(len(segment), self._params.active_run_length)
-        true_target = self._target(True)
-        false_target = self._target(False)
-        try:
-            avg_keys = [self._quantizer.average_key(segment[i:j + 1])
-                        for (i, j) in pairs]
-        except ValueError:  # a NaN average: abstain, as evidence() does
-            return Vote(n_true=0, n_false=0)
-        n_true = 0
-        n_false = 0
-        for avg_key in avg_keys:
-            pattern = self._pattern(avg_key, label)
-            if pattern == true_target:
-                n_true += 1
-            elif pattern == false_target:
-                n_false += 1
         return Vote(n_true=n_true, n_false=n_false)

@@ -29,7 +29,6 @@ from repro.core.encoding_initial import EmbedOutcome, Vote
 from repro.core.params import WatermarkParams
 from repro.core.quantize import Quantizer
 from repro.errors import EncodingSearchExhausted, ParameterError
-from repro.util import bitops
 from repro.util.hashing import KeyedHasher
 
 #: Deterministic Miller-Rabin witnesses, sufficient for n < 3.3 * 10^24.
@@ -186,8 +185,7 @@ class QuadResEncoding:
     name = "quadres"
 
     def __init__(self, params: WatermarkParams, quantizer: Quantizer,
-                 hasher: KeyedHasher, n_prefixes: int = 3,
-                 batched: bool = True) -> None:
+                 hasher: KeyedHasher, n_prefixes: int = 3) -> None:
         if not 1 <= n_prefixes <= params.lsb_bits - 1:
             raise ParameterError(
                 f"n_prefixes must be in [1, lsb_bits - 1], got {n_prefixes}"
@@ -196,7 +194,6 @@ class QuadResEncoding:
         self._quantizer = quantizer
         self._prime = derive_prime(hasher)
         self._k = n_prefixes
-        self._batched = bool(batched)
         self._table = _ResidueTable(self._prime)
         self.last_stats: "QuadResStats | None" = None
         # Lifetime observability totals (updated once per embed, read
@@ -210,47 +207,19 @@ class QuadResEncoding:
         """The derived secret prime (exposed for tests)."""
         return self._prime
 
-    def _prefixes(self, q: int) -> list[int]:
-        """The longest ``k`` prefixes of the ``value_bits``-wide word."""
-        width = self._params.value_bits
-        return [bitops.msb(q, width - j, width) for j in range(self._k)]
-
-    def _value_matches(self, q: int, bit: bool) -> bool:
-        """Does every one of the ``k`` longest prefixes carry ``bit``?
-
-        The batched path walks the prefixes coarsest-first (``q >> j``
-        for descending ``j`` — ``msb(q, width - j, width)`` is exactly
-        the right shift): the coarsest prefix is shared by ``2^(k-1)``
-        consecutive candidate lows, so its memoized residue prunes most
-        failing candidates on a single dict hit.  ``all()`` over a pure
-        predicate is order-independent, so the decision is identical to
-        the scalar oracle (property-tested).
-        """
-        if not self._batched:
-            return self._value_matches_scalar(q, bit)
-        want = bool(bit)
-        residue = self._table.residue
-        for j in range(self._k - 1, -1, -1):
-            if residue(q >> j) != want:
-                return False
-        return True
-
-    def _value_matches_scalar(self, q: int, bit: bool) -> bool:
-        """Per-prefix Euler-criterion reference (the oracle)."""
-        want = bool(bit)
-        return all(is_quadratic_residue(p, self._prime) == want
-                   for p in self._prefixes(q))
-
     def _encode_value(self, q: int, bit: bool) -> tuple[int, int]:
         """Return ``(new_q, iterations)`` for a single subset member.
 
-        The batched branch inlines the residue-table probe into the
-        candidate loop (saving two call layers per probe on the hot
-        path); the candidate *order* — including the two-element set
-        literal whose iteration order breaks the ±distance tie — is
-        kept verbatim from the scalar branch below, so the chosen
-        candidate and the iteration count are bit-identical to the
-        oracle (property-tested).
+        Scans the low-bit space in order of distance from the original
+        value (minimal alteration).  A candidate carries ``bit`` when
+        each of its ``k`` longest prefixes ``q >> j`` is a quadratic
+        residue for "true", a non-residue for "false".  The residue
+        table's probe is inlined into the loop, saving two call layers
+        per probe on the hot path.  The candidate *order*, including
+        the two-element set literal whose iteration order breaks the
+        ±distance tie, and the iteration count are bit-identical to the
+        per-prefix Euler-criterion reference in ``tests/oracles.py``
+        (property-tested).
         """
         mask = (1 << self._params.lsb_bits) - 1
         high = q & ~mask
@@ -258,48 +227,14 @@ class QuadResEncoding:
         limit = mask + 1
         iterations = 0
         max_iterations = self._params.max_search_iterations
-        if self._batched:
-            want = bool(bit)
-            table = self._table
-            memo = table._memo
-            memo_get = memo.get
-            memo_limit = table._limit
-            prime = table._prime
-            jacobi = jacobi_symbol
-            k_top = self._k - 1
-            for distance in range(0, limit):
-                for low in ({original_low} if distance == 0 else
-                            {original_low - distance,
-                             original_low + distance}):
-                    if not 0 <= low < limit:
-                        continue
-                    iterations += 1
-                    if iterations > max_iterations:
-                        raise EncodingSearchExhausted(
-                            "quadratic-residue search exhausted "
-                            f"{max_iterations} iterations"
-                        )
-                    candidate = high | low
-                    # Coarsest prefix first: it is shared by 2^(k-1)
-                    # consecutive lows, so its memo entry rejects most
-                    # failing candidates on one dict hit.
-                    for j in range(k_top, -1, -1):
-                        prefix = candidate >> j
-                        found = memo_get(prefix)
-                        if found is None:
-                            found = (prefix % prime != 0
-                                     and jacobi(prefix, prime) == 1)
-                            if len(memo) >= memo_limit:
-                                table._evict()
-                            memo[prefix] = found
-                        if found is not want:
-                            break
-                    else:
-                        return candidate, iterations
-            raise EncodingSearchExhausted(
-                f"no low-bit configuration satisfies {self._k} prefixes"
-            )
-        # Distance-ordered scan of the low-bit space (minimal alteration).
+        want = bool(bit)
+        table = self._table
+        memo = table._memo
+        memo_get = memo.get
+        memo_limit = table._limit
+        prime = table._prime
+        jacobi = jacobi_symbol
+        k_top = self._k - 1
         for distance in range(0, limit):
             for low in ({original_low} if distance == 0 else
                         {original_low - distance, original_low + distance}):
@@ -312,7 +247,21 @@ class QuadResEncoding:
                         f"{max_iterations} iterations"
                     )
                 candidate = high | low
-                if self._value_matches(candidate, bit):
+                # Coarsest prefix first: it is shared by 2^(k-1)
+                # consecutive lows, so its memo entry rejects most
+                # failing candidates on one dict hit.
+                for j in range(k_top, -1, -1):
+                    prefix = candidate >> j
+                    found = memo_get(prefix)
+                    if found is None:
+                        found = (prefix % prime != 0
+                                 and jacobi(prefix, prime) == 1)
+                        if len(memo) >= memo_limit:
+                            table._evict()
+                        memo[prefix] = found
+                    if found is not want:
+                        break
+                else:
                     return candidate, iterations
         raise EncodingSearchExhausted(
             f"no low-bit configuration satisfies {self._k} prefixes"
@@ -359,17 +308,15 @@ class QuadResEncoding:
                label: int) -> Vote:
         """Vote per member: all-residue => true, all-non-residue => false.
 
-        The batched form quantizes the whole subset as one array op
-        (identical floor/clamp to the scalar :meth:`Quantizer.quantize`)
-        and classifies each member with at most ``k`` memoized residue
+        Quantizes the whole subset as one array op (identical
+        floor/clamp to the scalar :meth:`Quantizer.quantize`) and
+        classifies each member with at most ``k`` memoized residue
         lookups: the coarsest prefix decides which class the member
         *could* join, the finer prefixes either confirm it or abstain
-        the member — one pass instead of the scalar's two
-        ``_value_matches`` calls.  Counting is commutative, so the vote
-        equals :meth:`detect_scalar`'s (property-tested).
+        the member — one pass instead of one per class.  Counting is
+        commutative, so the vote equals the per-member Euler-criterion
+        reference in ``tests/oracles.py`` (property-tested).
         """
-        if not self._batched:
-            return self.detect_scalar(float_subset, extreme_offset, label)
         if len(float_subset) == 0:
             raise ParameterError("cannot detect in an empty subset")
         q_values = self._quantizer.quantize_array(
@@ -388,19 +335,4 @@ class QuadResEncoding:
                     n_true += 1
                 else:
                     n_false += 1
-        return Vote(n_true=n_true, n_false=n_false)
-
-    def detect_scalar(self, float_subset: np.ndarray, extreme_offset: int,
-                      label: int) -> Vote:
-        """Per-member scalar reference of :meth:`detect` (the oracle)."""
-        if len(float_subset) == 0:
-            raise ParameterError("cannot detect in an empty subset")
-        n_true = 0
-        n_false = 0
-        for value in float_subset:
-            q = self._quantizer.quantize(float(value))
-            if self._value_matches_scalar(q, True):
-                n_true += 1
-            elif self._value_matches_scalar(q, False):
-                n_false += 1
         return Vote(n_true=n_true, n_false=n_false)

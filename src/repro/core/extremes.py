@@ -164,8 +164,8 @@ def _zigzag_machine(indices, values, prominence: float, st: ZigzagState,
     ``indices`` are absolute stream positions; the machine mutates ``st``
     and appends confirmed pivots.  This is the seed's per-item scan body,
     factored out so the vectorized :func:`zigzag_pivots` can drive it
-    over the reduced candidate sequence and :func:`zigzag_pivots_scalar`
-    over every item.
+    over the reduced candidate sequence and the per-item reference in
+    ``tests/oracles.py`` over every item.
     """
     for i, v in zip(indices, values):
         if st.trend == 0:
@@ -209,23 +209,6 @@ def _prepare_scan(prominence: float, state: "ZigzagState | None",
     return st
 
 
-def zigzag_pivots_scalar(values, prominence: float,
-                         state: "ZigzagState | None" = None,
-                         offset: int = 0
-                         ) -> tuple[list[tuple[int, int]], ZigzagState]:
-    """Per-item reference scan — the seed implementation, kept verbatim.
-
-    :func:`zigzag_pivots` is property-tested to be bit-identical to this
-    on random, noisy and plateau streams, including chunked continuation.
-    """
-    st = _prepare_scan(prominence, state, offset)
-    pivots: list[tuple[int, int]] = []
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    _zigzag_machine(range(offset, offset + arr.size), arr.tolist(),
-                    prominence, st, pivots)
-    return pivots, st
-
-
 def zigzag_pivots(values: np.ndarray, prominence: float,
                   state: "ZigzagState | None" = None,
                   offset: int = 0) -> tuple[list[tuple[int, int]], ZigzagState]:
@@ -256,9 +239,9 @@ def zigzag_pivots(values: np.ndarray, prominence: float,
     boundaries — the first occurrence of each run's terminal value — plus
     the range's first item (where a carried-in extreme may confirm
     immediately).  Those candidates are extracted with array ops and the
-    exact per-item machine (:func:`zigzag_pivots_scalar`'s body) runs
-    over the reduced sequence, producing bit-identical pivots *and*
-    continuation state.
+    exact per-item machine (:func:`_zigzag_machine`) runs over the
+    reduced sequence, producing pivots *and* continuation state
+    bit-identical to running it over every item (property-tested).
     """
     st = _prepare_scan(prominence, state, offset)
     pivots: list[tuple[int, int]] = []

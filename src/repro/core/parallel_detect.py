@@ -312,15 +312,3 @@ def detect_watermark_spans(values, wm_length, key,
              for (start, end) in ranges]
     return merge_results(run_tasks(tasks, workers=workers, metrics=metrics),
                          metrics=metrics)
-
-
-def detect_many(tasks: "list[DetectionTask]",
-                workers: "int | None" = None, metrics=None) -> list:
-    """Batch API: run many independent detections, preserving order.
-
-    This is the hub's screening surface — candidate keys x suspect
-    streams, each its own :class:`DetectionTask`.  No merging: each
-    task answers its own question, though tasks on the same suspect
-    share its scan (:func:`run_tasks`).
-    """
-    return run_tasks(tasks, workers=workers, metrics=metrics)

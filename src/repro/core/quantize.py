@@ -220,11 +220,6 @@ class Quantizer:
                 upper if x > upper_f else floor(x)
                 for total in sums]
 
-    def average_key_scalar(self, value: float) -> int:
-        """Average key of a single received item (degenerate sub-range)."""
-        return _clamped_floor((float(value) + 0.5) * self._avg_scale,
-                              self._avg_upper)
-
     @property
     def average_scale(self) -> float:
         """The ``2^(b + e)`` multiplier of the average-key map."""

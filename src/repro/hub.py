@@ -271,7 +271,7 @@ class StreamHub:
         session state, hence a staticmethod on the hub only as the
         natural batch entry point.
         """
-        from repro.core.parallel_detect import DetectionTask, detect_many
+        from repro.core.parallel_detect import DetectionTask, run_tasks
 
         tasks = []
         for job in jobs:
@@ -283,7 +283,7 @@ class StreamHub:
                 tasks.append(DetectionTask(values=values,
                                            wm_length=wm_length,
                                            key=key, **kwargs))
-        return detect_many(tasks, workers=workers)
+        return run_tasks(tasks, workers=workers)
 
     def _check_new_id(self, stream_id: str) -> None:
         if not isinstance(stream_id, str) or not stream_id:
@@ -495,8 +495,8 @@ class StreamHub:
 
         Sums each resident session's ``encoding_stats()`` (embeds,
         search iterations, pattern-memo probes/hits) and derives the
-        memo hit rate.  Detection sessions add zeros (batched detection
-        does not probe the memo), so the rate describes the embed
+        memo hit rate.  Detection sessions add zeros (detection does
+        not probe the memo), so the rate describes the embed
         search alone.  Evicted sessions are not restored for this —
         their in-memory search state died with them, so the summary is
         a live-fleet view, sampled only when somebody asks (STATUS

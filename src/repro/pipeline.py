@@ -249,6 +249,12 @@ class ProtectionSession:
                 "sessions with a QualityMonitor attached cannot be "
                 "checkpointed yet"
             )
+        options = dict(self._encoding_options)
+        # An encoding that draws random numbers resumes its generator
+        # where it stopped, not from the seed it was given.
+        rng_state = getattr(self._embedder.encoding, "rng_state", None)
+        if rng_state is not None:
+            options["rng"] = rng_state
         return {
             "format_version": _STATE_VERSION,
             "kind": self._KIND,
@@ -257,7 +263,7 @@ class ProtectionSession:
                 "watermark_bits": [int(b) for b in
                                    self._embedder.watermark_bits],
                 "encoding": self._encoding_name,
-                "encoding_options": dict(self._encoding_options),
+                "encoding_options": options,
                 "require_labels": self._require_labels,
                 "params": params_to_dict(self._params),
             },

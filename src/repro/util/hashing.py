@@ -179,21 +179,19 @@ class PatternProber:
     """Batched ``lsb(H(avg_key, label), ω)`` probes with a bounded memo.
 
     This is the multi-hash convention probe (paper Sec 4.3) of the
-    random embed search and of the scalar oracles, which re-test the
-    same averages across candidates.  Batched detection does not use it:
-    it hashes each distinct average of an extreme once per key, and
-    almost never meets the same average again.  The payload is the
-    fixed-width keyed sandwich ``hash(k ; avg_key_8B ; label_8B ; k)`` —
-    identical bytes to
+    random embed search, which re-tests the same averages across
+    candidate rows.  Detection does not use it: it hashes each distinct
+    average of an extreme once per key, and almost never meets the same
+    average again.  The payload is the fixed-width keyed sandwich
+    ``hash(k ; avg_key_8B ; label_8B ; k)`` — identical bytes to
     :func:`repro.core.encoding_multihash.convention_pattern`.
 
     The memo is bounded; when full, the *oldest half* is evicted
     (dict insertion order) instead of wiping the table.  A full wipe
-    throws away the hot ``(avg_key, label)`` pairs the pruned search is
-    actively re-testing across backtracking candidates, forcing a
-    re-hash storm exactly when the search is struggling; keeping the
-    young half preserves the working set at the same O(1) amortized
-    bookkeeping cost.
+    throws away the hot ``(avg_key, label)`` pairs the search is
+    actively re-testing, forcing a re-hash storm exactly when the search
+    is struggling; keeping the young half preserves the working set at
+    the same O(1) amortized bookkeeping cost.
 
     ``probes``/``misses`` count lifetime lookups and memo misses for
     the observability layer (hit rate = 1 - misses/probes).  They are
@@ -221,23 +219,6 @@ class PatternProber:
         self._limit = memo_limit
         self.probes = 0
         self.misses = 0
-
-    def pattern(self, avg_key: int, label: int) -> int:
-        """One convention probe (memoized)."""
-        probe = (avg_key, label)
-        memo = self._memo
-        self.probes += 1
-        found = memo.get(probe)
-        if found is None:
-            self.misses += 1
-            context = self._copy()
-            context.update(avg_key.to_bytes(8, "big")
-                           + label.to_bytes(8, "big") + self._key)
-            found = int.from_bytes(context.digest()[-3:], "big") & self._mask
-            if len(memo) >= self._limit:
-                self._evict()
-            memo[probe] = found
-        return found
 
     def patterns(self, avg_keys, label: int) -> "list[int]":
         """Probe many averages against one label in a tight loop.

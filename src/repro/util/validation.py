@@ -4,25 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ParameterError, StreamError
-
-
-def require_positive(name: str, value: "int | float") -> None:
-    """Raise :class:`ParameterError` unless ``value > 0``."""
-    if not value > 0:
-        raise ParameterError(f"{name} must be positive, got {value}")
-
-
-def require_in_range(name: str, value: float, low: float, high: float,
-                     inclusive: bool = False) -> None:
-    """Raise unless ``value`` lies in ``(low, high)`` (or ``[low, high]``)."""
-    ok = low <= value <= high if inclusive else low < value < high
-    if not ok:
-        bracket = "[]" if inclusive else "()"
-        raise ParameterError(
-            f"{name} must be in {bracket[0]}{low}, {high}{bracket[1]}, "
-            f"got {value}"
-        )
+from repro.errors import StreamError
 
 
 def as_float_array(values, name: str = "values") -> np.ndarray:
@@ -35,15 +17,3 @@ def as_float_array(values, name: str = "values") -> np.ndarray:
     if not np.all(np.isfinite(array)):
         raise StreamError(f"{name} contains non-finite entries")
     return array
-
-
-def require_normalized(values: np.ndarray, name: str = "values") -> None:
-    """Check the paper's normalization precondition: values in (-0.5, 0.5)."""
-    low = float(np.min(values))
-    high = float(np.max(values))
-    if low <= -0.5 or high >= 0.5:
-        raise StreamError(
-            f"{name} must be normalized into (-0.5, 0.5); "
-            f"observed range [{low:.6g}, {high:.6g}]. "
-            "Use repro.streams.normalize.Normalizer first."
-        )

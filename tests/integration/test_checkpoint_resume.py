@@ -20,6 +20,7 @@ from repro import (
     Normalizer,
     Pipeline,
     ProtectionSession,
+    StreamHub,
     TransformStage,
     WatermarkParams,
     detect_watermark,
@@ -105,6 +106,85 @@ class TestCheckpointResume:
                 json.loads(json.dumps(session.to_state())), KEY)
         pieces.append(session.finish())
         assert np.array_equal(np.concatenate(pieces), offline_marked)
+
+
+#: The random multi-hash search, kept cheap: one-item runs in at most
+#: four items per subset.
+RANDOM_PARAMS = WatermarkParams(phi=5, active_run_length=1,
+                                max_subset_embed=4)
+SEEDED = {"method": "random", "rng": 7}
+
+
+@pytest.fixture(scope="module")
+def long_stream() -> np.ndarray:
+    return TemperatureSensorGenerator(eta=60, seed=9).generate(12000)
+
+
+def feed_to_end(session, values: np.ndarray, start: int) -> np.ndarray:
+    """Feed ``values[start:]``, finish, and return the released items."""
+    pieces = feed_chunks(session, values, start, len(values))
+    pieces.append(session.finish())
+    return np.concatenate(pieces)
+
+
+def random_session(options: dict) -> ProtectionSession:
+    return ProtectionSession(WATERMARK, KEY, params=RANDOM_PARAMS,
+                             encoding_options=options)
+
+
+class TestRandomSearchResume:
+    """The random multi-hash search draws from a generator.  A
+    checkpoint carries the generator's position, so a resumed session
+    continues its stream instead of re-seeding it."""
+
+    @pytest.mark.parametrize("split", [3000, 6000, 9000])
+    def test_seeded_resume_is_bit_identical(self, long_stream, split):
+        uninterrupted = feed_to_end(random_session(SEEDED), long_stream, 0)
+        session = random_session(SEEDED)
+        head = feed_chunks(session, long_stream, 0, split)
+        resumed = ProtectionSession.from_state(
+            json.loads(json.dumps(session.to_state())), KEY)
+        tail = feed_to_end(resumed, long_stream, split)
+        assert np.array_equal(np.concatenate(head + [tail]), uninterrupted)
+
+    @pytest.mark.parametrize("split", [3000, 6000, 9000])
+    def test_unseeded_resume_continues_the_generator(self, long_stream,
+                                                     split):
+        """With no seed the generator starts from the OS; the original
+        session, carried on past the checkpoint, is the reference."""
+        session = random_session({"method": "random"})
+        feed_chunks(session, long_stream, 0, split)
+        resumed = ProtectionSession.from_state(
+            json.loads(json.dumps(session.to_state())), KEY)
+        assert np.array_equal(feed_to_end(resumed, long_stream, split),
+                              feed_to_end(session, long_stream, split))
+
+    def test_evicting_hub_is_bit_identical(self, long_stream):
+        """A hub with one live session checkpoints a stream out and
+        restores it on every other push."""
+        streams = {"a": long_stream,
+                   "b": TemperatureSensorGenerator(eta=60,
+                                                   seed=10).generate(12000)}
+        outputs = {}
+        for max_live in (None, 1):
+            hub = StreamHub(max_live_sessions=max_live)
+            for sid in streams:
+                hub.protect(sid, WATERMARK, KEY, params=RANDOM_PARAMS,
+                            encoding_options=SEEDED)
+            pieces = {sid: [] for sid in streams}
+            for start in range(0, 12000, 1500):
+                for sid, values in streams.items():
+                    pieces[sid].append(hub.push(sid,
+                                                values[start:start + 1500]))
+            for sid, tail in hub.finish_all().items():
+                pieces[sid].append(tail)
+            outputs[max_live] = {sid: np.concatenate(parts)
+                                 for sid, parts in pieces.items()}
+            if max_live == 1:
+                assert all(stats["restores"] > 0
+                           for stats in hub.stats().values())
+        for sid in streams:
+            assert np.array_equal(outputs[1][sid], outputs[None][sid]), sid
 
 
 class TestPipeline:

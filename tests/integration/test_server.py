@@ -558,6 +558,26 @@ class TestFlowControlAndErrors:
                                    match="another connection"):
                     two.protect("dup", "1", KEY, params=PARAMS)
 
+    @pytest.mark.parametrize("option", ["bogus", "batched"])
+    def test_bad_encoding_option_gets_bad_params(self, harness, option):
+        """An OPEN carrying an option its encoding does not take is
+        answered with ``bad-params`` on a connection that stays up: the
+        same client then opens the stream with valid options."""
+        values = TemperatureSensorGenerator(eta=60, seed=44).generate(800)
+        host, port = harness.service.address
+        with RemoteClient(host, port) as client:
+            with pytest.raises(RemoteError, match=option) as refused:
+                client.protect("opts", "1", KEY, params=PARAMS,
+                               encoding_options={option: False})
+            assert refused.value.code == "bad-params"
+            marked = feed_all(client.protect("opts", "1", KEY,
+                                             params=PARAMS), values)
+            assert client.reconnects == 0
+            status = client.status()
+        reference, _ = watermark_stream(values, "1", KEY, params=PARAMS)
+        assert np.array_equal(marked, reference)
+        assert status["server"]["errors"] == 1
+
     def test_resume_with_wrong_key_rejected(self, harness):
         """Resuming a live stream with a different key is refused."""
         values = TemperatureSensorGenerator(eta=60, seed=42).generate(800)

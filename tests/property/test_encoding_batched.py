@@ -1,9 +1,10 @@
-"""Property tests: batched encoding hot paths == retained scalar oracles.
+"""Property tests: batched encoding hot paths == the scalar oracles.
 
-The PR-8 performance work batched the multi-hash search/detection and
-table-backed the quadratic-residue prefix checks.  The scalar code
-paths were kept verbatim (``batched=False`` / ``*_scalar`` methods) as
-oracles; these tests pin the batched paths to them bit-for-bit:
+The library batches the multi-hash search/detection and table-backs the
+quadratic-residue prefix checks.  The seed's scalar code is kept
+verbatim in ``tests/oracles.py`` (:class:`ScalarMultihash`,
+:class:`ScalarQuadRes`); these tests pin the library's paths to it
+bit-for-bit:
 
 * multihash pruned + random embeds: identical chosen configuration,
   identical :class:`MultihashStats` (iterations, hash evaluations),
@@ -47,6 +48,7 @@ from repro.errors import EncodingSearchExhausted
 from repro.streams import TemperatureSensorGenerator
 from repro.transforms import uniform_random_sampling
 from repro.util.hashing import KeyedHasher
+from tests.oracles import ScalarMultihash, ScalarQuadRes
 
 # ----------------------------------------------------------------------
 # strategies
@@ -151,9 +153,9 @@ class TestMultihashBatchedParity:
         params, quantizer, q_subset, offset = case
         hasher = KeyedHasher(key)
         batched = MultihashEncoding(params, quantizer, hasher,
-                                    method=method, rng=seed, batched=True)
-        scalar = MultihashEncoding(params, quantizer, hasher,
-                                   method=method, rng=seed, batched=False)
+                                    method=method, rng=seed)
+        scalar = ScalarMultihash(params, quantizer, hasher,
+                                 method=method, rng=seed)
         got = _embed_or_raise(batched, q_subset, offset, label, bit)
         want = _embed_or_raise(scalar, q_subset, offset, label, bit)
         assert got == want
@@ -168,10 +170,10 @@ class TestMultihashBatchedParity:
     @given(case=multihash_detect_cases(), key=detect_keys, label=labels)
     def test_detect_vote_identical(self, case, key, label):
         params, quantizer, received, offset = case
-        encoding = MultihashEncoding(params, quantizer, KeyedHasher(key),
-                                     batched=True)
+        encoding = MultihashEncoding(params, quantizer, KeyedHasher(key))
+        scalar = ScalarMultihash(params, quantizer, KeyedHasher(key))
         assert encoding.detect(received, offset, label) == \
-            encoding.detect_scalar(received, offset, label)
+            scalar.detect(received, offset, label)
 
     @pytest.mark.parametrize("received", [
         [0.1, INF, -INF, 0.2],
@@ -185,7 +187,8 @@ class TestMultihashBatchedParity:
         received = np.asarray(received)
         assert encoding.evidence(received, 1, 5) == []
         assert encoding.detect(received, 1, 5) == Vote(0, 0)
-        assert encoding.detect_scalar(received, 1, 5) == Vote(0, 0)
+        scalar = ScalarMultihash(params, Quantizer(32, 8), KeyedHasher(b"k"))
+        assert scalar.detect(received, 1, 5) == Vote(0, 0)
 
     @settings(max_examples=100, deadline=None)
     @given(case=multihash_detect_cases(), label=labels)
@@ -224,8 +227,9 @@ class TestMultihashBatchedParity:
                      for key in ring]
         evidence = encodings[0].evidence(received, offset, label)
         assert [encoding.vote(evidence) for encoding in encodings] == \
-            [encoding.detect_scalar(received, offset, label)
-             for encoding in encodings]
+            [ScalarMultihash(params, quantizer,
+                             KeyedHasher(key)).detect(received, offset, label)
+             for key in ring]
 
 
 class TestMultiKeyDetectorParity:
@@ -242,10 +246,12 @@ class TestMultiKeyDetectorParity:
         shared = StreamDetector(2, ring, params=params,
                                 transform_degree=degree)
         shared.run(values)
+        quantizer = Quantizer(params.value_bits, params.avg_extra_bits)
         for key, result in zip(ring, shared.results()):
+            oracle = ScalarMultihash(params, quantizer, KeyedHasher(key))
             scalar = StreamDetector(2, key, params=params,
                                     transform_degree=degree,
-                                    encoding_options={"batched": False})
+                                    encoding=oracle)
             scalar.run(values)
             assert result == scalar.result()
         assert sum(r.votes(0) + r.votes(1) for r in shared.results()) > 0
@@ -283,9 +289,9 @@ class TestQuadResBatchedParity:
         params, quantizer, n_prefixes, q_subset, offset = case
         hasher = KeyedHasher(key)
         batched = QuadResEncoding(params, quantizer, hasher,
-                                  n_prefixes=n_prefixes, batched=True)
-        scalar = QuadResEncoding(params, quantizer, hasher,
-                                 n_prefixes=n_prefixes, batched=False)
+                                  n_prefixes=n_prefixes)
+        scalar = ScalarQuadRes(params, quantizer, hasher,
+                               n_prefixes=n_prefixes)
         got = _embed_or_raise(batched, q_subset, offset, 7, bit)
         want = _embed_or_raise(scalar, q_subset, offset, 7, bit)
         assert got == want
@@ -298,12 +304,14 @@ class TestQuadResBatchedParity:
         params, quantizer, n_prefixes, q_subset, offset = case
         hasher = KeyedHasher(key)
         encoding = QuadResEncoding(params, quantizer, hasher,
-                                   n_prefixes=n_prefixes, batched=True)
+                                   n_prefixes=n_prefixes)
+        scalar = ScalarQuadRes(params, quantizer, hasher,
+                               n_prefixes=n_prefixes)
         received = np.asarray(
             [quantizer.dequantize(q) for q in q_subset],
             dtype=np.float64) + noise
         assert encoding.detect(received, offset, 7) == \
-            encoding.detect_scalar(received, offset, 7)
+            scalar.detect(received, offset, 7)
 
     @settings(max_examples=40, deadline=None)
     @given(case=quadres_cases(), key=keys,
@@ -311,10 +319,12 @@ class TestQuadResBatchedParity:
     def test_detect_out_of_range_identical(self, case, key, received):
         params, quantizer, n_prefixes, _, _ = case
         encoding = QuadResEncoding(params, quantizer, KeyedHasher(key),
-                                   n_prefixes=n_prefixes, batched=True)
+                                   n_prefixes=n_prefixes)
+        scalar = ScalarQuadRes(params, quantizer, KeyedHasher(key),
+                               n_prefixes=n_prefixes)
         received = np.asarray(received, dtype=np.float64)
         assert encoding.detect(received, 0, 7) == \
-            encoding.detect_scalar(received, 0, 7)
+            scalar.detect(received, 0, 7)
 
     @settings(max_examples=20, deadline=None)
     @given(key=keys, values=st.lists(

@@ -6,8 +6,9 @@ incremental labels, fused quantization).  Every rewrite must preserve
 the seed's scalar behaviour *exactly*:
 
 * :func:`zigzag_pivots` (candidate reduction) vs
-  :func:`zigzag_pivots_scalar` (the seed's per-item loop, kept verbatim)
-  on random / noisy / plateau streams, whole-array and chunked;
+  :func:`zigzag_pivots_scalar` (the seed's per-item loop, kept verbatim
+  in ``tests/oracles.py``) on random / noisy / plateau streams,
+  whole-array and chunked;
 * :func:`characteristic_subset` vs a straight re-implementation of the
   seed's per-item expansion;
 * the ring-buffer :class:`SlidingWindow` vs a deque model;
@@ -39,10 +40,10 @@ from repro.core.extremes import (
     ZigzagState,
     characteristic_subset,
     zigzag_pivots,
-    zigzag_pivots_scalar,
 )
 from repro.core.quantize import Quantizer
 from repro.streams.window import SlidingWindow
+from tests.oracles import zigzag_pivots_scalar
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 

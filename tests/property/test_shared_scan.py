@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro import watermark_stream
 from repro.core.detector import StreamDetector
 from repro.core.params import WatermarkParams
-from repro.core.parallel_detect import DetectionTask, detect_many, run_task
+from repro.core.parallel_detect import DetectionTask, run_task, run_tasks
 from repro.errors import ParameterError
 from repro.obs import MetricsRegistry
 from repro.streams import TemperatureSensorGenerator
@@ -92,13 +92,13 @@ class TestSharedScanEqualsRunTask:
                  in specs]
         expected = [_fields(run_task(task)) for task in tasks]
         got = [_fields(result)
-               for result in detect_many(tasks, workers=workers)]
+               for result in run_tasks(tasks, workers=workers)]
         assert got == expected
 
 
 def _scans(tasks) -> int:
     registry = MetricsRegistry()
-    results = detect_many(tasks, metrics=registry)
+    results = run_tasks(tasks, metrics=registry)
     assert [_fields(r) for r in results] == \
         [_fields(run_task(t)) for t in tasks]
     return registry.snapshot()["counters"]["detect_scans_total"]

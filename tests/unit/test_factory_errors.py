@@ -58,6 +58,13 @@ class TestFactory:
         with pytest.raises(ParameterError):
             build_encoding(object(), PARAMS, QUANTIZER, HASHER)
 
+    @pytest.mark.parametrize("name", ["multihash", "initial", "quadres"])
+    @pytest.mark.parametrize("option", ["bogus", "batched"])
+    def test_rejects_unknown_option(self, name, option):
+        with pytest.raises(ParameterError, match=option):
+            build_encoding(name, PARAMS, QUANTIZER, HASHER,
+                           **{option: False})
+
 
 class TestExceptionHierarchy:
     @pytest.mark.parametrize("exc", [

@@ -104,15 +104,15 @@ class TestPatternProber:
         from repro.core.encoding_multihash import convention_pattern
 
         prober = PatternProber(b"k1", omega=3)
-        for avg_key in range(40):
-            assert prober.pattern(avg_key, 9) == \
-                convention_pattern(b"k1", avg_key, 9, 3)
+        assert prober.patterns(range(40), 9) == \
+            [convention_pattern(b"k1", avg_key, 9, 3)
+             for avg_key in range(40)]
 
     def test_patterns_matches_scalar_probes(self):
         prober = PatternProber(b"k1", omega=2)
         avg_keys = list(range(0, 400, 7))
         assert prober.patterns(avg_keys, 5) == \
-            [prober.pattern(a, 5) for a in avg_keys]
+            [prober.patterns([a], 5)[0] for a in avg_keys]
 
     def test_full_memo_keeps_recent_hits(self):
         """Regression: eviction must keep the *young* half of the memo.
@@ -124,7 +124,7 @@ class TestPatternProber:
         """
         prober = PatternProber(b"k1", omega=2, memo_limit=8)
         for avg_key in range(9):  # the 9th insert triggers eviction
-            prober.pattern(avg_key, 1)
+            prober.patterns([avg_key], 1)
         assert len(prober) == 5  # survivors (4 young) + the new entry
         memo = prober._memo
         # The most recent pre-eviction probes survived...
@@ -138,7 +138,8 @@ class TestPatternProber:
         prober = PatternProber(b"k1", omega=3, memo_limit=4)
         fresh = PatternProber(b"k1", omega=3)
         for avg_key in range(50):
-            assert prober.pattern(avg_key, 2) == fresh.pattern(avg_key, 2)
+            assert prober.patterns([avg_key], 2) == \
+                fresh.patterns([avg_key], 2)
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -548,7 +548,7 @@ class TestStatsObservability:
 
 class TestEncodingSummary:
     """Detection sessions add nothing to the pattern-memo telemetry:
-    batched multi-hash detection never probes the memo, so
+    multi-hash detection never probes the memo, so
     ``hub_pattern_memo_hit_rate`` describes the embed search alone."""
 
     #: The random search probes through the memo; one-item runs over

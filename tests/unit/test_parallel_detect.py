@@ -18,7 +18,6 @@ from repro.core.detector import DetectionResult, detect_best, detect_watermark
 from repro.core.embedder import watermark_stream
 from repro.core.parallel_detect import (
     DetectionTask,
-    detect_many,
     detect_watermark_spans,
     merge_results,
     run_task,
@@ -250,6 +249,6 @@ class TestHubBatch:
     def test_detect_batch_accepts_tasks(self, marked):
         task = DetectionTask(values=marked, wm_length=1, key=KEY,
                              params=PARAMS)
-        direct = detect_many([task])
+        direct = run_tasks([task])
         via_hub = StreamHub.detect_batch([task])
         assert direct == via_hub

@@ -16,6 +16,15 @@ normalized = st.floats(min_value=-0.499, max_value=0.499,
                        allow_nan=False, allow_infinity=False)
 
 
+def _single_key(q: Quantizer, value: float) -> int:
+    """The average key of one item, from its definition:
+    ``floor((v + 0.5) * 2^(b + e))`` clamped in float space to the key
+    range, so ±inf saturates."""
+    upper = 2**q.avg_key_bits - 1
+    x = (value + 0.5) * 2.0**q.avg_key_bits
+    return 0 if x < 0 else upper if x > upper else math.floor(x)
+
+
 class TestConstruction:
     def test_rejects_tiny_width(self):
         with pytest.raises(ParameterError):
@@ -102,7 +111,7 @@ class TestAverageKey:
     def test_singleton_key_matches_scalar_form(self):
         q = Quantizer(32, 8)
         v = q.dequantize(12345678)
-        assert q.average_key([v]) == q.average_key_scalar(v)
+        assert q.average_key([v]) == _single_key(q, v)
 
     def test_key_changes_with_single_lsb_step(self):
         """One quantization-step change in one member must move the key.
@@ -136,7 +145,7 @@ class TestAverageKey:
         values = [0.75, 1e300, -1e300]
         q = Quantizer(32, 8)
         assert float(np.mean(values)) == 0.0
-        assert q.average_key(values) == q.average_key_scalar(0.0)
+        assert q.average_key(values) == _single_key(q, 0.0)
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=7))
@@ -164,11 +173,11 @@ class TestOutOfRange:
             assert q.quantize_list([value, 0.0]) == [cell, q.quantize(0.0)]
             assert q.msb(value, 4) == cell >> 12
             assert q.abs_msb(value, 4) == 0b1111
-            assert q.average_key_scalar(value) == avg_key
+            assert q.average_key([value]) == avg_key
             assert q.average_key([0.1, value]) == avg_key
             assert q.average_key([value] * 9) == avg_key  # np.mean branch
             assert q.run_keys([value, 0.0], 3) == \
-                [avg_key, q.average_key_scalar(0.0)]
+                [avg_key, _single_key(q, 0.0)]
             assert q.quantize_array([value, 1e300, -1e300]).tolist() == \
                 [cell, top, 0]
 
@@ -179,7 +188,7 @@ class TestOutOfRange:
                      lambda: q.quantize_list([0.0, nan]),
                      lambda: q.msb(nan, 4),
                      lambda: q.abs_msb(nan, 4),
-                     lambda: q.average_key_scalar(nan),
+                     lambda: q.average_key([nan]),
                      lambda: q.average_key([0.1, nan]),
                      lambda: q.run_keys([0.0, nan], 2),
                      lambda: q.average_key([nan] * 9)):
@@ -201,5 +210,5 @@ class TestOutOfRange:
         assert q.msb(value, 10) == cell >> 14
         assert q.abs_msb(value, 10) == \
             reference((abs(value) + 0.5) * 2.0**24, 2**24 - 1) >> 14
-        assert q.average_key_scalar(value) == \
+        assert q.average_key([value]) == \
             reference((value + 0.5) * 2.0**32, 2**32 - 1)

@@ -339,6 +339,19 @@ class TestKindSpecificCorruption:
         with pytest.raises(ReproError):
             restore("protection", state)
 
+    def test_protection_rng_state_must_be_pcg64(self):
+        session = ProtectionSession(
+            "10", KEY, params=WatermarkParams(phi=5),
+            encoding_options={"method": "random", "rng": 3})
+        state = json_roundtrip(session.to_state())
+        assert state["config"]["encoding_options"]["rng"]["bit_generator"] \
+            == "PCG64"
+        for junk in ({"bit_generator": "MT19937", "state": {"pos": 0}},
+                     {"bit_generator": "PCG64"}, -1):
+            state["config"]["encoding_options"]["rng"] = junk
+            with pytest.raises(ParameterError, match="random generator"):
+                restore("protection", state)
+
     def test_detection_votes_junk(self, fed_states):
         for junk in JUNK_VALUES:
             state = copy.deepcopy(fed_states["detection"])
