@@ -35,7 +35,6 @@ sampling degree that is survived by construction) are constrained.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,16 +51,15 @@ def convention_pattern(key: bytes, avg_key: int, label: int, omega: int,
                        algorithm: str = "md5") -> int:
     """Low ``omega`` hash bits deciding an average's testimony.
 
-    This is the hot path of both embedding search and detection, so it
-    hashes a fixed-width packed payload directly instead of going through
-    the generic :func:`repro.util.hashing.H` serializer.  The construction
-    is the same keyed sandwich ``hash(k ; avg_key ; label ; k)``; the
-    label participates as the paper's second hash argument, the secret
-    ``k1`` via ``key``.
+    The reference form of the probe that embedding search and detection
+    inline.  It hashes the keyed sandwich ``hash(k ; avg_key ; label ;
+    k)`` as a fixed-width packed payload, not through the generic
+    :func:`repro.util.hashing.H` serializer; the label participates as
+    the paper's second hash argument, the secret ``k1`` via ``key``.
     """
     payload = (key + avg_key.to_bytes(8, "big")
                + label.to_bytes(8, "big") + key)
-    digest = hashlib.new(algorithm, payload).digest()
+    digest = hash_constructor(algorithm)(payload).digest()
     return int.from_bytes(digest[-3:], "big") & ((1 << omega) - 1)
 
 
@@ -161,12 +159,11 @@ class MultihashEncoding:
         # from the search loop itself).
         self.embeds = 0
         self.total_search_iterations = 0
-        # The random search probes through a PatternProber: a digest
-        # context pre-fed with the leading key plus a bounded
+        # The random search probes through a PatternProber's bounded
         # (avg_key, label) memo, because it re-tests the same averages
-        # across candidate rows.  Detection does not: its keyed pass
-        # (vote) hashes each distinct average of an extreme once
-        # through the constructor resolved here.
+        # across candidate rows.  The pruned search and detection's
+        # keyed pass (vote) do not: they hash each probe once, in one
+        # call of the constructor resolved here.
         self._prober = PatternProber(self._key, params.omega,
                                      self._algorithm,
                                      self._PATTERN_MEMO_LIMIT)
@@ -340,7 +337,7 @@ class MultihashEncoding:
         item ``k``'s ladder is live, because backtracking from ``k+1``
         never touches them), reducing each probe to one add, one divide
         and one keying; and each convention probe is inlined, with no
-        memo (one copy of a key-fed digest context, one update, one
+        memo (one constructor call on the whole keyed payload, one
         mask).  Candidates are still *decided* sequentially, so the
         accepted configuration, the iteration and hash-evaluation counts
         and both raise points are bit-identical to the per-candidate
@@ -365,13 +362,12 @@ class MultihashEncoding:
         # The search probes fresh (avg_key, label) pairs almost
         # exclusively, so a memo would nearly always miss, and a miss
         # costs more than the hash.  The convention probe is therefore
-        # inlined: one context copy off the key-fed base, one update,
+        # inlined: one constructor call on ``head + avg_key + tail``
         # and (for the usual ω <= 8) a single trailing-byte mask, the
         # lsb() of the digest.
-        base = hashlib.new(self._algorithm)
-        base.update(self._key)
-        context_copy = base.copy
-        tail = label.to_bytes(8, "big") + self._key
+        new = self._new
+        head = self._key
+        tail = label.to_bytes(8, "big") + head
         to_bytes = int.to_bytes
         omega = params.omega
         omega_mask = (1 << omega) - 1
@@ -466,10 +462,7 @@ class MultihashEncoding:
                     key = 0
                 elif key > key_upper:
                     key = key_upper
-                context = context_copy()
-                context.update(to_bytes(key, 8, "big"))
-                context.update(tail)
-                digest = context.digest()
+                digest = new(head + to_bytes(key, 8, "big") + tail).digest()
                 pattern = (digest[-1] & omega_mask if narrow else
                            int.from_bytes(digest[-3:], "big") & omega_mask)
                 if pattern != target:
@@ -487,10 +480,8 @@ class MultihashEncoding:
                         elif key > key_upper:
                             key = key_upper
                     extra_probes += 1
-                    context = context_copy()
-                    context.update(to_bytes(key, 8, "big"))
-                    context.update(tail)
-                    digest = context.digest()
+                    digest = new(head + to_bytes(key, 8, "big")
+                                 + tail).digest()
                     pattern = (digest[-1] & omega_mask if narrow else
                                int.from_bytes(digest[-3:], "big")
                                & omega_mask)

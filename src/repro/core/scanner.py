@@ -69,9 +69,11 @@ class ScanCounters:
         """JSON-compatible snapshot of every counter.
 
         Derived from the dataclass fields so a newly added counter
-        round-trips through checkpoints automatically.
+        round-trips through checkpoints automatically; every counter is
+        an int, so a shallow copy suffices.
         """
-        return dataclasses.asdict(self)
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScanCounters":

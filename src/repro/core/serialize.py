@@ -33,11 +33,13 @@ def _counters_from_dict(data: dict) -> ScanCounters:
 def params_to_dict(params: WatermarkParams) -> dict:
     """Serialize watermarking parameters field-by-field.
 
-    Every :class:`WatermarkParams` field is a plain scalar, so the dict
-    is JSON-compatible as-is; :func:`params_from_dict` re-runs the
-    constructor and therefore re-validates every invariant.
+    Every :class:`WatermarkParams` field is a plain scalar, so a
+    shallow copy is JSON-compatible as-is (``dataclasses.asdict`` would
+    deep-copy each scalar, on every checkpoint); :func:`params_from_dict`
+    re-runs the constructor and therefore re-validates every invariant.
     """
-    return dataclasses.asdict(params)
+    return {f.name: getattr(params, f.name)
+            for f in dataclasses.fields(params)}
 
 
 def params_from_dict(data: dict) -> WatermarkParams:

@@ -65,16 +65,27 @@ def frame_value(value: "int | bytes | str") -> bytes:
 
 
 def hash_constructor(algorithm: str):
-    """The ``hashlib`` constructor of a supported algorithm.
+    """The constructor every digest of ``algorithm`` goes through.
 
-    Hot loops resolve it once: ``hashlib.new(name, data)`` looks the
-    name up on every call.
+    MD5 is CPython's builtin ``_md5.md5`` when the interpreter has one:
+    the digests of ``hashlib.md5`` (OpenSSL, the fallback) at about half
+    the cost on the short keyed payloads the scheme hashes, where
+    OpenSSL's per-call setup costs more than the hash.  sha1, sha256
+    and sha512 stay on ``hashlib``, where OpenSSL is the faster one.
+    Hot loops resolve the constructor once and hash each payload in one
+    call.
     """
     if algorithm not in _SUPPORTED_ALGORITHMS:
         raise ParameterError(
             f"unsupported hash algorithm {algorithm!r}; "
             f"choose one of {_SUPPORTED_ALGORITHMS}"
         )
+    if algorithm == "md5":
+        try:
+            from _md5 import md5
+            return md5
+        except ImportError:  # a CPython built without builtin MD5
+            pass
     return getattr(hashlib, algorithm)
 
 
@@ -106,8 +117,9 @@ class KeyedHasher:
     :class:`KeyedHasher` so the key is threaded through the system once.
 
     Every ``H`` digest goes through :meth:`hash_framed`, which hashes
-    ``key + frame + key`` with the algorithm's constructor, resolved
-    once at construction.  The selection criterion is the hot caller:
+    ``key + frame + key`` in one call of the :func:`hash_constructor`
+    constructor, resolved at construction (and again when a pool worker
+    unpickles the hasher).  The selection criterion is the hot caller:
     it hashes once per major extreme and key, and detection frames the
     message once for all keys.
 
@@ -182,8 +194,9 @@ class PatternProber:
     random embed search, which re-tests the same averages across
     candidate rows.  Detection does not use it: it hashes each distinct
     average of an extreme once per key, and almost never meets the same
-    average again.  The payload is the fixed-width keyed sandwich
-    ``hash(k ; avg_key_8B ; label_8B ; k)`` — identical bytes to
+    average again.  A miss hashes the whole fixed-width keyed sandwich
+    ``hash(k ; avg_key_8B ; label_8B ; k)`` in one constructor call —
+    identical bytes to
     :func:`repro.core.encoding_multihash.convention_pattern`.
 
     The memo is bounded; when full, the *oldest half* is evicted
@@ -201,12 +214,12 @@ class PatternProber:
     hot loop.
     """
 
-    __slots__ = ("_key", "_mask", "_copy", "_memo", "_limit",
+    __slots__ = ("_key", "_mask", "_new", "_memo", "_limit",
                  "probes", "misses")
 
     def __init__(self, key: bytes, omega: int, algorithm: str = "md5",
                  memo_limit: int = 1 << 16) -> None:
-        new = hash_constructor(algorithm)
+        self._new = hash_constructor(algorithm)
         if omega < 1:
             raise ParameterError(f"omega must be >= 1, got {omega}")
         if memo_limit < 2:
@@ -214,7 +227,6 @@ class PatternProber:
                 f"memo_limit must be >= 2, got {memo_limit}")
         self._key = _coerce_key(key)
         self._mask = (1 << omega) - 1
-        self._copy = new(self._key).copy
         self._memo: "dict[tuple[int, int], int]" = {}
         self._limit = memo_limit
         self.probes = 0
@@ -228,9 +240,10 @@ class PatternProber:
         loop — this is the per-candidate hot path of the batched search.
         """
         memo = self._memo
-        copy = self._copy
+        new = self._new
+        head = self._key
         mask = self._mask
-        tail = label.to_bytes(8, "big") + self._key
+        tail = label.to_bytes(8, "big") + head
         out: "list[int]" = []
         append = out.append
         misses = 0
@@ -240,9 +253,8 @@ class PatternProber:
             found = memo.get(probe)
             if found is None:
                 misses += 1
-                context = copy()
-                context.update(avg_key.to_bytes(8, "big") + tail)
-                found = int.from_bytes(context.digest()[-3:], "big") & mask
+                digest = new(head + avg_key.to_bytes(8, "big") + tail).digest()
+                found = int.from_bytes(digest[-3:], "big") & mask
                 if len(memo) >= self._limit:
                     self._evict()
                 memo[probe] = found

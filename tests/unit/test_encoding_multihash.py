@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,24 @@ class TestConventionPattern:
     def test_roughly_uniform(self):
         ones = sum(convention_pattern(b"k", v, 1, 1) for v in range(2000))
         assert 850 < ones < 1150
+
+    @pytest.mark.parametrize("algorithm", ["sha3_256", "blake2b", "crc32"])
+    def test_rejects_what_the_encoding_rejects(self, algorithm):
+        """The reference probe rejects what KeyedHasher (and so
+        PatternProber and MultihashEncoding) rejects, with the same
+        ParameterError."""
+        with pytest.raises(ParameterError):
+            KeyedHasher(b"k", algorithm)
+        with pytest.raises(ParameterError):
+            convention_pattern(b"k", 123, 45, 1, algorithm)
+
+    @pytest.mark.parametrize("algorithm", ["md5", "sha1", "sha256", "sha512"])
+    def test_probe_is_the_keyed_digest(self, algorithm):
+        payload = (b"k" + (123).to_bytes(8, "big") + (45).to_bytes(8, "big")
+                   + b"k")
+        digest = hashlib.new(algorithm, payload).digest()
+        assert convention_pattern(b"k", 123, 45, 16, algorithm) == \
+            int.from_bytes(digest[-2:], "big")
 
     def test_vote_counts_what_the_pattern_reads(self):
         """At every ω, the rare all-ones and all-zeroes patterns wider

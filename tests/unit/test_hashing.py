@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.encoding_multihash import MultihashEncoding
+from repro.core.params import WatermarkParams
+from repro.core.quantize import Quantizer
 from repro.errors import KeyError_, ParameterError
-from repro.util.hashing import H, KeyedHasher, PatternProber, hash_to_int
+from repro.util.hashing import (
+    H,
+    KeyedHasher,
+    PatternProber,
+    frame_value,
+    hash_constructor,
+    hash_to_int,
+)
 
 
 class TestH:
@@ -57,6 +70,55 @@ class TestHashToInt:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ParameterError):
             hash_to_int(b"x", "crc32")
+
+
+def _md5_outputs() -> tuple:
+    """What every MD5 consumer computes.  Each consumer is built here,
+    so it resolves ``hash_constructor("md5")`` at this call."""
+    params = WatermarkParams(omega=2, active_run_length=3)
+    quantizer = Quantizer(params.value_bits, params.avg_extra_bits)
+    encoding = MultihashEncoding(params, quantizer, KeyedHasher(b"k1"))
+    tail = (5).to_bytes(8, "big")
+    evidence = [(key.to_bytes(8, "big") + tail, 1 + key % 3)
+                for key in range(512)]
+    subset = [quantizer.quantize(0.31 + i * 5e-4) for i in range(6)]
+    return (KeyedHasher(b"k1").hash_int(99),
+            [KeyedHasher(b"k1").hash_int(v) for v in range(64)],
+            PatternProber(b"k1", omega=3).patterns(range(200), 9),
+            encoding.vote(evidence),
+            encoding.embed(subset, 3, 17, True).q_values)
+
+
+class TestHashConstructor:
+    """The one place that picks the MD5 implementation."""
+
+    def test_md5_digests_equal_hashlib(self):
+        new = hash_constructor("md5")
+        data = bytes(range(256)) * 2
+        for n in range(301):
+            assert new(data[:n]).digest() == hashlib.md5(data[:n]).digest()
+        key = b"secret-k1"
+        label = (17).to_bytes(8, "big")
+        for payload in (key + frame_value(123456789) + key,
+                        key + (2**40 + 7).to_bytes(8, "big") + label + key):
+            assert new(payload).digest() == hashlib.md5(payload).digest()
+
+    def test_md5_is_the_builtin(self):
+        builtin = pytest.importorskip("_md5")
+        assert hash_constructor("md5") is builtin.md5
+
+    def test_falls_back_to_hashlib_with_the_same_outputs(self, monkeypatch):
+        builtin = pytest.importorskip("_md5")
+        assert hash_constructor("md5") is builtin.md5
+        expected = _md5_outputs()
+        monkeypatch.setitem(sys.modules, "_md5", None)
+        assert hash_constructor("md5") is hashlib.md5
+        assert KeyedHasher(b"k1")._new is hashlib.md5
+        assert _md5_outputs() == expected
+
+    @pytest.mark.parametrize("algorithm", ["sha1", "sha256", "sha512"])
+    def test_other_algorithms_stay_on_hashlib(self, algorithm):
+        assert hash_constructor(algorithm) is getattr(hashlib, algorithm)
 
 
 class TestKeyedHasher:
@@ -118,9 +180,9 @@ class TestPatternProber:
         """Regression: eviction must keep the *young* half of the memo.
 
         The old behaviour wiped the whole table at the limit, which
-        discarded the hot (avg_key, label) pairs the pruned search was
-        actively re-testing.  Filling the memo past its limit must
-        leave the most recent probes cached.
+        discarded the hot (avg_key, label) pairs the random search was
+        actively re-testing across candidate rows.  Filling the memo
+        past its limit must leave the most recent probes cached.
         """
         prober = PatternProber(b"k1", omega=2, memo_limit=8)
         for avg_key in range(9):  # the 9th insert triggers eviction

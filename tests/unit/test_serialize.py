@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.core.detector import DetectionResult
 from repro.core.embedder import EmbedReport
+from repro.core.params import WatermarkParams
 from repro.core.scanner import ScanCounters
 from repro.core.serialize import (
     detection_from_dict,
     detection_to_dict,
     load_json,
+    params_to_dict,
     report_from_dict,
     report_to_dict,
     save_json,
@@ -59,6 +62,20 @@ class TestDetectionRoundtrip:
     def test_dict_is_json_compatible(self):
         text = json.dumps(detection_to_dict(make_detection()))
         assert detection_from_dict(json.loads(text)).bias(0) == 10
+
+
+class TestCheckpointDicts:
+    """The checkpoint path's shallow field copies."""
+
+    @pytest.mark.parametrize("obj, to_dict", [
+        (WatermarkParams(phi=6, delta=0.03, omega=2), params_to_dict),
+        (make_detection().counters, ScanCounters.to_dict),
+    ])
+    def test_equal_to_asdict_and_fresh(self, obj, to_dict):
+        first = to_dict(obj)
+        assert list(first.items()) == list(dataclasses.asdict(obj).items())
+        first.clear()  # a caller mutating one snapshot...
+        assert to_dict(obj) == dataclasses.asdict(obj)  # ...not the next
 
 
 class TestReportRoundtrip:
