@@ -189,6 +189,11 @@ class StreamDetector(StreamScanner):
     payloads of the subset) run once for all voters that selected the
     extreme, and a keyed vote per voter.  A single-key detector is the
     one-voter case.
+
+    The scan and the votes can also run apart: :meth:`record` scans
+    without voting and returns what the votes need, and
+    :meth:`vote_record` casts the votes of any slice of that record, in
+    any detector built with the same configuration.
     """
 
     def __init__(self, wm_length, key,
@@ -225,6 +230,9 @@ class StreamDetector(StreamScanner):
         self._evidence = (
             getattr(self._voters[0].encoding, "evidence", None)
             if len(self._voters) > 1 else None)
+        # The entries of a running record() scan, which then casts no
+        # votes; None otherwise.
+        self._recording: "list | None" = None
 
     @property
     def wm_length(self) -> int:
@@ -233,7 +241,8 @@ class StreamDetector(StreamScanner):
 
     def _handle_major(self, extreme: Extreme, window_values: np.ndarray,
                       local: int, start: int, end: int) -> None:
-        """Label one major extreme once, then let every voter vote on it."""
+        """Label one major extreme once, then let every voter vote on it
+        (or, inside :meth:`record`, record it)."""
         reference = self._reference_value(extreme, window_values, start, end)
         # Detection never alters the extreme, so the value committed to
         # the label chain is the reference itself, and push returns the
@@ -246,13 +255,51 @@ class StreamDetector(StreamScanner):
             label = 1
         message = selection_message(reference, self._params,
                                     self._quantizer, label)
+        # A view of the contiguous window: encodings only read it.
+        subset = window_values[start:end + 1]
+        if self._recording is None:
+            self._vote(message, subset, local - start, label)
+        else:
+            self._recording.append((message, subset.tobytes(),
+                                    local - start, label))
+
+    def record(self, values) -> list:
+        """Scan ``values`` without voting; return what the votes need.
+
+        One entry per labelled major extreme, in stream order: the
+        framed selection message, the characteristic subset as float64
+        bytes, the extreme's offset in that subset, and its label.  The
+        scan counters advance as :meth:`run` advances them; no voter
+        selects anything.  None of it depends on the key.
+        """
+        self._recording = []
+        try:
+            self.run(values)
+            return self._recording
+        finally:
+            self._recording = None
+
+    def vote_record(self, entries) -> None:
+        """Cast every voter's votes on entries of a :meth:`record`.
+
+        Any detector with the configuration of the recording one may
+        vote any slice of its record.  Buckets, abstentions and
+        ``selected`` are sums over the entries, so the slices voted
+        apart add up to the votes of one :meth:`run` (the merge law of
+        :mod:`repro.core.parallel_detect`).
+        """
+        frombuffer = np.frombuffer
+        for message, subset, offset, label in entries:
+            self._vote(message, frombuffer(subset), offset, label)
+
+    def _vote(self, message: bytes, subset: np.ndarray, offset: int,
+              label: int) -> None:
+        """Every voter's selection hash on one labelled major extreme,
+        and the vote of each voter that selects it."""
         phi = self._params.phi
         wm_length = self._wm_length
         counters = self.counters
         shared = self._evidence
-        # A view of the contiguous window: encodings only read it.
-        subset = window_values[start:end + 1]
-        offset = local - start
         evidence = None
         for voter in self._voters:
             bit_index = voter.hasher.hash_framed(message) % phi
@@ -378,15 +425,20 @@ def detect_best(values, wm_length, key,
     deterministic, so "strictly better replaces" and "first wins ties"
     together make the outcome order-stable).
 
-    ``workers`` fans the passes across a process pool (they are
-    independent scans of the same values); the winner is identical to
-    the serial sweep because all results come back in candidate order.
+    ``workers`` > 1 fans the passes across the caller and a process
+    pool (they are independent scans of the same values); the winner is
+    identical to the serial sweep because all results come back in
+    candidate order.  A negative ``workers`` raises
+    :class:`ParameterError`.
 
     Returns ``(best_result, best_degree)``.  Note the multiple-
     comparisons caveat: testing k hypotheses scales the false-positive
     probability by at most k (Bonferroni), which is immaterial against
     the scheme's exponentially small Pfp values.
     """
+    from repro.core.parallel_detect import _check_workers
+
+    _check_workers(workers)
     params = params or WatermarkParams()
     degrees: list[float] = []
     for degree in (candidate_degrees or [1.0]):
@@ -455,11 +507,18 @@ def detect_watermark(values, wm_length, key,
     ``average_subset_size`` recorded in the :class:`EmbedReport`.
 
     ``workers`` > 1 cuts the stream into contiguous spans (``spans``,
-    default one per worker), scans them in a process pool and merges the
-    vote buckets exactly (they are additive — see
+    default one per worker), scans them in the caller and a process
+    pool and merges the vote buckets exactly (they are additive — see
     :mod:`repro.core.parallel_detect` for the merge law and the
-    span-boundary warmup caveat).
+    span-boundary warmup caveat).  ``workers`` None, 0 or 1 is serial;
+    a negative ``workers`` or a ``spans`` below 1 raises
+    :class:`ParameterError`.
     """
+    from repro.core.parallel_detect import _check_workers
+
+    _check_workers(workers)
+    if spans is not None and spans < 1:
+        raise ParameterError(f"spans must be >= 1, got {spans}")
     array = np.asarray(values, dtype=np.float64).ravel()
     if array.size == 0:
         raise ParameterError("cannot detect in an empty stream")

@@ -21,11 +21,18 @@ tasks that differ in nothing but ``key`` (equal ``wm_length``,
 ``params``, ``encoding``, ``transform_degree``, ``require_labels`` and
 ``encoding_options``, element-wise equal ``values``) and scans each
 suspect once for all of them with a multi-key
-:class:`~repro.core.detector.StreamDetector`.  Each group is cut into
-``min(len(group), ceil(workers / n_groups))`` contiguous key chunks, one
-scan each, so a one-suspect sweep still fills every worker.  Every
-result is field-for-field what :func:`run_task` gives for its task
-(property-tested).  Span tasks and degree sweeps never group.
+:class:`~repro.core.detector.StreamDetector`.  When a group has more
+than one key and more than one pool slot (``ceil(workers / n_groups)``),
+the calling process runs that scan without voting
+(:meth:`~repro.core.detector.StreamDetector.record`): per labelled
+major extreme it keeps the framed selection message, the characteristic
+subset as bytes, the extreme's offset in it and its label.  The keyed
+pass — each key's selection hash, the multi-hash evidence and each
+vote — then runs over ``min(len(group), ceil(workers / n_groups),
+len(record))`` contiguous slices of that record, and each key's slices
+merge by the law above.  Every result is field-for-field what
+:func:`run_task` gives for its task (property-tested).  Span tasks and
+degree sweeps never group.
 
 The one approximation lives in *where the split cuts*: span-parallel
 detection of a single stream re-warms the scanner at each span boundary
@@ -36,9 +43,14 @@ votes per cut, and :func:`split_spans` refuses to produce spans shorter
 than a window multiple for exactly that reason.
 
 Workers are processes, not threads — the hot loops are pure Python and
-hold the GIL.  Scans are pickled as one task plus its chunk of keys;
+hold the GIL.  A call that uses a pool runs the first contiguous share
+of its jobs itself and hands the rest to a fresh ``ProcessPoolExecutor``
+of ``min(workers, jobs) - 1`` processes, joined before the call
+returns, so the workers' CPU time shows in ``RUSAGE_CHILDREN``.  A job
+ships the detection configuration, its keys, and either its suspect
+(a scan) or one record slice (votes), never both;
 :class:`~repro.util.hashing.KeyedHasher` carries a ``__reduce__`` for
-this.
+the keys.
 """
 
 from __future__ import annotations
@@ -47,6 +59,7 @@ import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -84,6 +97,12 @@ class DetectionTask:
         if array.size == 0:
             raise ParameterError("cannot detect in an empty stream")
         object.__setattr__(self, "values", array)
+
+
+def _check_workers(workers: "int | None") -> None:
+    """``workers`` None, 0 and 1 mean serial; a negative count is an error."""
+    if workers is not None and workers < 0:
+        raise ParameterError(f"workers must be >= 0, got {workers}")
 
 
 def run_task(task: DetectionTask):
@@ -129,73 +148,149 @@ def _scan_groups(tasks: "list[DetectionTask]") -> "list[list[int]]":
     return groups
 
 
-def _run_scan(job: "tuple[DetectionTask, list]") -> list:
-    """One scan of ``job``'s task, voting for each of its keys."""
-    task, keys = job
+def _config(task: DetectionTask) -> dict:
+    """Keyword arguments of a detector for ``task``, bar the key."""
+    # float() as detect_watermark applies it on the run_task path.
+    return {"wm_length": task.wm_length, "params": task.params,
+            "encoding": task.encoding,
+            "transform_degree": float(task.transform_degree),
+            "require_labels": task.require_labels,
+            "encoding_options": task.encoding_options}
+
+
+def _scan(task: DetectionTask, keys: list) -> list:
+    """One scan of ``task``'s values, voting for each of ``keys``."""
     if len(keys) == 1:
         return [run_task(task)]
     from repro.core.detector import StreamDetector
 
-    # float() as detect_watermark applies it on the run_task path.
-    detector = StreamDetector(task.wm_length, keys, params=task.params,
-                              encoding=task.encoding,
-                              transform_degree=float(task.transform_degree),
-                              require_labels=task.require_labels,
-                              encoding_options=task.encoding_options)
+    detector = StreamDetector(key=keys, **_config(task))
     detector.run(task.values)
     return detector.results()
 
 
+def _vote(config: dict, keys: list, entries: list) -> list:
+    """Each key's votes on one slice of a recorded scan."""
+    from repro.core.detector import StreamDetector
+
+    detector = StreamDetector(key=keys, **config)
+    detector.vote_record(entries)
+    return detector.results()
+
+
+@dataclass
+class _GroupPlan:
+    """How the tasks at ``indices`` get their results.
+
+    ``calls`` are picklable zero-argument callables, each returning one
+    result per task.  With ``scanned`` None the group is one call that
+    scans and votes; otherwise the caller has scanned it, ``scanned``
+    holds the scan's vote-free results, and each call votes one record
+    slice.
+    """
+
+    indices: "list[int]"
+    calls: list
+    scanned: "list | None" = None
+
+
+def _plan(tasks: "list[DetectionTask]",
+          workers: "int | None") -> "list[_GroupPlan]":
+    """Group the tasks by shared scan and cut each group into calls.
+
+    A group with more than one key and more than one pool slot is
+    scanned here, in the calling process, and its record is cut into
+    ``min(len(group), ceil(workers / n_groups), len(record))``
+    contiguous slices.  Every other group is one call.  Planning starts
+    no process.
+    """
+    from repro.core.detector import StreamDetector
+
+    groups = _scan_groups(tasks)
+    slots = math.ceil((workers or 1) / len(groups))
+    plans: "list[_GroupPlan]" = []
+    for group in groups:
+        task = tasks[group[0]]
+        keys = [tasks[i].key for i in group]
+        if min(len(keys), slots) == 1:
+            plans.append(_GroupPlan(group, [partial(_scan, task, keys)]))
+            continue
+        config = _config(task)
+        detector = StreamDetector(key=keys, **config)
+        record = detector.record(task.values)
+        # split_spans caps the slice count at the record length.
+        slices = split_spans(len(record), min(len(keys), slots)) \
+            if record else []
+        plans.append(_GroupPlan(
+            group, [partial(_vote, config, keys, record[start:end])
+                    for start, end in slices], detector.results()))
+    return plans
+
+
+def _dispatch(calls: list, parts: int) -> list:
+    """Every call's output, in call order.
+
+    With ``parts`` > 1 the caller runs the first of ``parts`` contiguous
+    shares and a fresh pool of ``parts - 1`` processes runs the rest;
+    the pool is joined before this returns.
+    """
+    if parts <= 1:
+        return [call() for call in calls]
+    share = split_spans(len(calls), parts)[0][1]
+    with ProcessPoolExecutor(max_workers=parts - 1) as pool:
+        futures = [pool.submit(call) for call in calls[share:]]
+        outputs = [call() for call in calls[:share]]
+        return outputs + [future.result() for future in futures]
+
+
 def run_tasks(tasks: "list[DetectionTask]",
               workers: "int | None" = None, metrics=None) -> list:
-    """Run tasks serially (``workers`` in {None, 0, 1}) or in a pool.
+    """Run tasks serially (``workers`` in {None, 0, 1}) or with a pool.
 
     Tasks that differ only in ``key`` share one scan (see the module
     docstring); results come back in task order either way, so callers
-    can zip them against their inputs.  The pool is sized
-    ``min(workers, scans)`` — idle workers cost a fork each.
+    can zip them against their inputs.  The jobs are one scan per
+    group, or the vote slices of a group the caller scanned.  With
+    ``parts = min(workers, jobs)`` above 1, the caller runs the first
+    of ``parts`` contiguous shares of the jobs and a fresh pool of
+    ``parts - 1`` processes the rest.
 
     ``metrics`` is an optional :class:`~repro.obs.MetricsRegistry`;
     counters are maintained parent-side (workers are separate
     processes, so instruments must not cross the pool boundary):
     ``detect_tasks_total`` counts every task, ``detect_scans_total``
-    the scans that served them, ``detect_pool_tasks_total`` and
-    ``detect_pool_batches_total`` only pool-dispatched work, and the
-    ``detect_pool_utilization`` gauge reports tasks-per-slot of the
-    latest batch (how full the requested pool actually ran).
+    the scans that served them (one per group),
+    ``detect_pool_tasks_total`` and ``detect_pool_batches_total`` only
+    pool-dispatched work, the ``detect_pool_workers`` gauge the
+    processes the latest pooled call started, and
+    ``detect_pool_utilization`` its tasks per requested worker.
     """
-    if workers is not None and workers < 0:
-        raise ParameterError(f"workers must be >= 0, got {workers}")
+    _check_workers(workers)
     m = metrics if metrics is not None else NULL_REGISTRY
     tasks = list(tasks)
     if not tasks:
         return []
-    groups = _scan_groups(tasks)
-    # split_spans caps the chunk count at the group size.
-    per_group = math.ceil((workers or 1) / len(groups))
-    jobs: "list[tuple[DetectionTask, list]]" = []
-    owners: "list[list[int]]" = []
-    for group in groups:
-        for start, end in split_spans(len(group), per_group):
-            chunk = group[start:end]
-            jobs.append((tasks[chunk[0]], [tasks[i].key for i in chunk]))
-            owners.append(chunk)
+    plans = _plan(tasks, workers)
+    calls = [call for plan in plans for call in plan.calls]
+    parts = min(workers or 1, len(calls))
     m.counter("detect_tasks_total").inc(len(tasks))
-    m.counter("detect_scans_total").inc(len(jobs))
-    if workers is None or workers <= 1 or len(jobs) == 1:
-        outputs = [_run_scan(job) for job in jobs]
-    else:
-        pool_size = min(workers, len(jobs))
+    m.counter("detect_scans_total").inc(len(plans))
+    if parts > 1:
         m.counter("detect_pool_tasks_total").inc(len(tasks))
         m.counter("detect_pool_batches_total").inc()
-        m.gauge("detect_pool_workers").set(pool_size)
+        m.gauge("detect_pool_workers").set(parts - 1)
         m.gauge("detect_pool_utilization").set(round(len(tasks) / workers,
                                                      4))
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            outputs = list(pool.map(_run_scan, jobs))
+    outputs = iter(_dispatch(calls, parts))
     results: list = [None] * len(tasks)
-    for chunk, output in zip(owners, outputs):
-        for index, result in zip(chunk, output):
+    for plan in plans:
+        done = [next(outputs) for _ in plan.calls]
+        if plan.scanned is None:
+            per_task = done[0]
+        else:
+            per_task = [merge_results(pieces)
+                        for pieces in zip(plan.scanned, *done)]
+        for index, result in zip(plan.indices, per_task):
             results[index] = result
     return results
 

@@ -265,11 +265,15 @@ class StreamHub:
         ``(values, wm_length, key, kwargs)`` — the rights holder's
         key-ring sweep: every (stream, key) pair gets its own result,
         in job order, but jobs that differ only in their key share one
-        scan of the stream; the scans fan out across ``workers``
-        processes (see :func:`repro.core.parallel_detect.run_tasks`).
-        This is offline whole-stream screening and touches no hub
-        session state, hence a staticmethod on the hub only as the
-        natural batch entry point.
+        scan of the stream.  With ``workers`` > 1 the calling process
+        scans a ring's stream once and votes one slice of what the scan
+        recorded, while a fresh pool of at most ``workers - 1``
+        processes votes the other slices; distinct streams are split
+        between the caller and the pool (see
+        :func:`repro.core.parallel_detect.run_tasks`).  This is offline
+        whole-stream screening and touches no hub session state, hence
+        a staticmethod on the hub only as the natural batch entry
+        point.
         """
         from repro.core.parallel_detect import DetectionTask, run_tasks
 

@@ -17,6 +17,7 @@ workflow does).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import numpy as np
@@ -35,6 +36,21 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_process_outlives_the_suite():
+    """Fail the run when a ``multiprocessing`` child is still alive at
+    the end.
+
+    Detection pools are started per call and joined before the call
+    returns: ``RUSAGE_CHILDREN`` counts only reaped children, so a pool
+    left running would hide its CPU time from every measurement of it.
+    """
+    yield
+    alive = multiprocessing.active_children()
+    assert not alive, f"processes outlived the test session: {alive}"
+
 
 #: Secret key shared by the reference fixtures.
 KEY = b"test-key-k1"

@@ -6,7 +6,9 @@ field, what :func:`run_task` gives for its task alone: both buckets,
 abstentions, the vote threshold and every :class:`ScanCounters` field
 (``selected`` is per key, the rest belong to the shared scan).  Tasks
 that differ in anything else — one stream item, or one other field —
-must not share a scan.
+must not share a scan.  With a pool, the caller runs the one scan and
+the pool only votes slices of its record; that split must not change
+a bit either, down to records of zero, one and two entries.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import watermark_stream
+from repro.core import parallel_detect
 from repro.core.detector import StreamDetector
 from repro.core.params import WatermarkParams
 from repro.core.parallel_detect import DetectionTask, run_task, run_tasks
@@ -96,9 +99,9 @@ class TestSharedScanEqualsRunTask:
         assert got == expected
 
 
-def _scans(tasks) -> int:
+def _scans(tasks, workers=None) -> int:
     registry = MetricsRegistry()
-    results = run_tasks(tasks, metrics=registry)
+    results = run_tasks(tasks, workers=workers, metrics=registry)
     assert [_fields(r) for r in results] == \
         [_fields(run_task(t)) for t in tasks]
     return registry.snapshot()["counters"]["detect_scans_total"]
@@ -114,6 +117,12 @@ class TestScanSharingRule:
         ring = [dataclasses.replace(base, key=key)
                 for key in KEYS + KEYS[:2]]
         assert _scans(ring) == 1
+
+    def test_pooled_key_ring_scans_once(self, base):
+        """With a pool the caller scans; the pool only votes."""
+        ring = [dataclasses.replace(base, key=key)
+                for key in KEYS + KEYS[:2]]
+        assert _scans(ring, workers=2) == 1
 
     def test_copied_values_share(self, base):
         other = dataclasses.replace(base, key=KEYS[1],
@@ -137,6 +146,65 @@ class TestScanSharingRule:
     def test_one_differing_field_does_not_share(self, base, field, value):
         other = dataclasses.replace(base, key=KEYS[1], **{field: value})
         assert _scans([base, other]) == 2
+
+
+#: Index in ``suspects`` of the plain stream each encoding marked; the
+#: one sampled by 2 follows it.
+MARKED_BY = {"multihash": 0, "initial": 2, "quadres": 4}
+#: Five keys, the marking key twice.
+RING = KEYS + KEYS[1:2]
+
+
+def _ring(values, encoding="multihash", options=None, degree=1.0):
+    return [DetectionTask(values=values, wm_length=2, key=key,
+                          params=PARAMS, encoding=encoding,
+                          transform_degree=degree, encoding_options=options)
+            for key in RING]
+
+
+def _record_length(values) -> int:
+    return len(StreamDetector(2, list(RING), params=PARAMS).record(values))
+
+
+def _prefix(values, entries: int) -> np.ndarray:
+    """The shortest 10-item multiple prefix whose scan records
+    ``entries`` labelled major extremes."""
+    for size in range(10, len(values), 10):
+        if _record_length(values[:size]) == entries:
+            return values[:size]
+    raise AssertionError(f"no prefix records {entries} entries")
+
+
+class TestSplitPath:
+    """A ring the caller scans and a pool votes, slice by slice."""
+
+    @pytest.mark.parametrize("workers", (2, 3))
+    @pytest.mark.parametrize("degree", (1.0, 2.0))
+    @pytest.mark.parametrize("encoding, options", ENCODINGS)
+    def test_split_equals_run_task(self, suspects, encoding, options,
+                                   degree, workers):
+        values = suspects[MARKED_BY[encoding] + (degree > 1)]
+        ring = _ring(values, encoding, options, degree)
+        registry = MetricsRegistry()
+        got = run_tasks(ring, workers=workers, metrics=registry)
+        expected = [run_task(task) for task in ring]
+        assert [_fields(r) for r in got] == [_fields(r) for r in expected]
+        assert sum(r.votes(0) + r.votes(1) for r in got) > 0
+        snap = registry.snapshot()
+        assert snap["counters"]["detect_scans_total"] == 1
+        assert snap["gauges"]["detect_pool_workers"] == workers - 1
+
+    @pytest.mark.parametrize("entries", (0, 1, 2))
+    def test_short_records(self, suspects, entries):
+        """An empty record, one entry, and more parts than entries."""
+        values = _prefix(suspects[0], entries)
+        ring = _ring(values)
+        expected = [_fields(run_task(task)) for task in ring]
+        for workers in (2, 3):
+            plans = parallel_detect._plan(ring, workers)
+            assert [len(plan.calls) for plan in plans] == [entries]
+            assert [_fields(r) for r in run_tasks(ring, workers=workers)] \
+                == expected
 
 
 class TestMultiKeyDetector:

@@ -79,6 +79,19 @@ class TestEmbedDetect:
         spanned = json.loads(capsys.readouterr().out)
         assert spanned == serial
 
+    @pytest.mark.parametrize("flag, value", [("--workers", "-2"),
+                                             ("--spans", "0")])
+    def test_detect_rejects_bad_counts(self, stream_file, capsys, flag,
+                                       value):
+        """A negative worker count or a non-positive span count is an
+        error (exit 2), not a silent serial run."""
+        code = main(["detect", str(stream_file), "--key", "cli-key",
+                     flag, value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag[2:]} must be >= " in captured.err
+
     def test_detect_wrong_key_low_bias(self, stream_file, tmp_path, capsys):
         marked_path = tmp_path / "marked.csv"
         main(["embed", str(stream_file), str(marked_path),

@@ -291,6 +291,7 @@ class TestPipelineWiring:
             run_tasks,
             split_spans,
         )
+        from repro.streams import TemperatureSensorGenerator
 
         params = WatermarkParams(window_size=64)
         data = np.linspace(10.0, 40.0, 6000)
@@ -311,11 +312,14 @@ class TestPipelineWiring:
         assert snap["counters"]["detect_pool_batches_total"] == 1
         assert snap["counters"]["detect_span_merges_total"] == 1
         assert snap["counters"]["detect_merged_parts_total"] == 3
-        assert snap["gauges"]["detect_pool_workers"] == 2
+        # The caller runs two of the three scans; one pool process
+        # runs the third.
+        assert snap["gauges"]["detect_pool_workers"] == 1
         assert snap["gauges"]["detect_pool_utilization"] == 1.5
 
-        # A key ring on one suspect shares scans: five keys on two
-        # workers are two contiguous key chunks, one scan each.
+        # A key ring on one suspect shares one scan, run by the caller.
+        # The ramp has no extreme, so there is nothing to vote on and
+        # no pool to start.
         ring = [DetectionTask(values=marked, wm_length=1, key=key,
                               params=params)
                 for key in (b"pool-key", b"k2", b"k3", b"k4", b"k5")]
@@ -323,10 +327,25 @@ class TestPipelineWiring:
         run_tasks(ring, workers=2, metrics=registry)
         snap = registry.snapshot()
         assert snap["counters"]["detect_tasks_total"] == 5
-        assert snap["counters"]["detect_scans_total"] == 2
+        assert snap["counters"]["detect_scans_total"] == 1
+        assert "detect_pool_batches_total" not in snap["counters"]
+        assert "detect_pool_workers" not in snap["gauges"]
+
+        # On a suspect with extremes the caller votes one half of the
+        # record while one pool process votes the other.
+        suspect, _ = watermark_stream(
+            TemperatureSensorGenerator(eta=60, seed=5).generate(4000), "1",
+            b"pool-key", params=params)
+        voted = [DetectionTask(values=suspect, wm_length=1, key=task.key,
+                               params=params) for task in ring]
+        registry = MetricsRegistry()
+        run_tasks(voted, workers=2, metrics=registry)
+        snap = registry.snapshot()
+        assert snap["counters"]["detect_tasks_total"] == 5
+        assert snap["counters"]["detect_scans_total"] == 1
         assert snap["counters"]["detect_pool_tasks_total"] == 5
         assert snap["counters"]["detect_pool_batches_total"] == 1
-        assert snap["gauges"]["detect_pool_workers"] == 2
+        assert snap["gauges"]["detect_pool_workers"] == 1
         assert snap["gauges"]["detect_pool_utilization"] == 2.5
 
         # Serial: one scan per suspect, whatever the ring size.

@@ -10,10 +10,13 @@ pool workers execute.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.core import detector as detector_module
+from repro.core import parallel_detect
 from repro.core.detector import DetectionResult, detect_best, detect_watermark
 from repro.core.embedder import watermark_stream
 from repro.core.parallel_detect import (
@@ -157,6 +160,46 @@ class TestMergeLaw:
 
 
 # ----------------------------------------------------------------------
+# processes: how many a sweep starts, and that none outlives it
+# ----------------------------------------------------------------------
+
+@pytest.fixture()
+def started(monkeypatch) -> list:
+    """Every multiprocessing process started while the test runs."""
+    processes: list = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def recording_start(process):
+        processes.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        recording_start)
+    return processes
+
+
+class TestProcessBound:
+
+    RING = (KEY, b"ring-b", b"ring-c", b"ring-d")
+
+    def _ring(self, marked):
+        return [DetectionTask(values=marked, wm_length=1, key=key,
+                              params=PARAMS) for key in self.RING]
+
+    def test_plan_caps_parts_at_ring_size(self, marked, started):
+        plans = parallel_detect._plan(self._ring(marked), workers=10_000)
+        assert [len(plan.calls) for plan in plans] == [len(self.RING)]
+        assert started == []
+
+    def test_pooled_sweep_starts_one_process(self, marked, started):
+        ring = self._ring(marked)
+        assert run_tasks(ring, workers=2) == [run_task(t) for t in ring]
+        assert len(started) == 1
+        assert not any(process.is_alive() for process in started)
+        assert multiprocessing.active_children() == []
+
+
+# ----------------------------------------------------------------------
 # the detect_watermark / detect_best surfaces
 # ----------------------------------------------------------------------
 
@@ -180,6 +223,18 @@ class TestDetectorSurface:
             workers=2)
         assert pooled_degree == serial_degree
         assert pooled_best == serial_best
+
+    @pytest.mark.parametrize("kwargs", [{"workers": -2}, {"spans": -3},
+                                        {"spans": 0}],
+                             ids=["workers=-2", "spans=-3", "spans=0"])
+    def test_detect_watermark_rejects_bad_counts(self, marked, kwargs):
+        with pytest.raises(ParameterError, match=next(iter(kwargs))):
+            detect_watermark(marked, 1, KEY, params=PARAMS, **kwargs)
+
+    def test_detect_best_rejects_negative_workers(self, marked):
+        with pytest.raises(ParameterError, match="workers"):
+            detect_best(marked, 1, KEY, params=PARAMS,
+                        candidate_degrees=[1.0, 3.0], workers=-1)
 
     def test_detect_best_dedupes_near_degrees(self, marked,
                                               monkeypatch):
