@@ -49,6 +49,32 @@ class ChaosChannel(TransportConnection):
         self._faults = faults
         self._site = site
         self.peer = inner.peer
+        #: Injected delays in progress; :meth:`abort` wakes them.
+        self._sleepers: "set[asyncio.Future]" = set()
+        self._aborted = False
+
+    async def _sleep(self, seconds: float) -> None:
+        """Sleep out an injected delay, unless the channel is aborted.
+
+        One future and one loop timer per delay, no task.  An abort —
+        the client's op timeout, or an injected reset on the other
+        direction — wakes the sleeper at once, and the message fails
+        as the inner channel's would.
+        """
+        if not self._aborted:
+            loop = asyncio.get_running_loop()
+            waiter = loop.create_future()
+            timer = loop.call_later(seconds, _wake, waiter)
+            self._sleepers.add(waiter)
+            try:
+                await waiter
+            finally:
+                timer.cancel()
+                self._sleepers.discard(waiter)
+        if self._aborted:
+            raise ConnectionResetError(
+                f"chaos: channel aborted during an injected delay "
+                f"({self._site})")
 
     async def _apply(self, decision: "dict | None", direction: str,
                      body: "bytes | None" = None) -> "dict | None":
@@ -61,7 +87,7 @@ class ChaosChannel(TransportConnection):
             return None
         fault = decision["fault"]
         if decision.get("delay"):
-            await asyncio.sleep(decision["delay"])
+            await self._sleep(decision["delay"])
         if fault == "latency":
             self._injector.record(self._site, "latency",
                                   direction=direction,
@@ -70,7 +96,7 @@ class ChaosChannel(TransportConnection):
         if fault == "stall":
             self._injector.record(self._site, "stall", direction=direction,
                                   seconds=decision["stall"])
-            await asyncio.sleep(decision["stall"])
+            await self._sleep(decision["stall"])
             return None
         if fault == "reset":
             self._injector.record(self._site, "reset", direction=direction)
@@ -137,8 +163,16 @@ class ChaosChannel(TransportConnection):
         await self._inner.close()
 
     def abort(self) -> None:
-        """Abort the inner channel."""
+        """Abort the inner channel, cutting any injected delay short."""
+        self._aborted = True
+        for waiter in self._sleepers:
+            _wake(waiter)
         self._inner.abort()
+
+
+def _wake(waiter: "asyncio.Future") -> None:
+    if not waiter.done():
+        waiter.set_result(None)
 
 
 #: Module-level active chaos configuration, set by :func:`install`.

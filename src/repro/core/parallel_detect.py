@@ -261,9 +261,8 @@ def run_tasks(tasks: "list[DetectionTask]",
     ``detect_tasks_total`` counts every task, ``detect_scans_total``
     the scans that served them (one per group),
     ``detect_pool_tasks_total`` and ``detect_pool_batches_total`` only
-    pool-dispatched work, the ``detect_pool_workers`` gauge the
-    processes the latest pooled call started, and
-    ``detect_pool_utilization`` its tasks per requested worker.
+    pool-dispatched work, and the ``detect_pool_workers`` gauge the
+    processes the latest pooled call started.
     """
     _check_workers(workers)
     m = metrics if metrics is not None else NULL_REGISTRY
@@ -279,8 +278,6 @@ def run_tasks(tasks: "list[DetectionTask]",
         m.counter("detect_pool_tasks_total").inc(len(tasks))
         m.counter("detect_pool_batches_total").inc()
         m.gauge("detect_pool_workers").set(parts - 1)
-        m.gauge("detect_pool_utilization").set(round(len(tasks) / workers,
-                                                     4))
     outputs = iter(_dispatch(calls, parts))
     results: list = [None] * len(tasks)
     for plan in plans:

@@ -271,8 +271,7 @@ class AsyncRemoteClient:
                 # Cap the wait: a goodbye lost in flight must not stall
                 # shutdown for the full op timeout.
                 await self._read(timeout=2.0)
-            except _CONNECTION_ERRORS + _TIMEOUT_ERRORS + (RemoteError,
-                                                           ProtocolError):
+            except _CONNECTION_ERRORS + (RemoteError, ProtocolError):
                 pass
             await self._drop_transport()
 
@@ -456,22 +455,43 @@ class AsyncRemoteClient:
         leaking to callers.  Semantic :class:`ProtocolError`\\ s raised
         above this boundary (unexpected frame types on a healthy link)
         stay fatal.
+
+        The op timeout is one loop timer per read, cancelled when the
+        read returns; when it fires it aborts the channel, which ends
+        the pending read (an injected chaos delay included), and the
+        read raises the op-timeout reset however it ended.
         """
-        if self._channel is None:
+        channel = self._channel
+        if channel is None:
             raise ConnectionResetError("not connected")
         if timeout is None:
             timeout = self._retry.op_timeout
+        timer = None
+        expired = False
+        if timeout is not None:
+            def expire() -> None:
+                nonlocal expired
+                expired = True
+                channel.abort()
+            timer = asyncio.get_running_loop().call_later(timeout, expire)
         try:
-            reader = self._channel.read_message()
-            if timeout is not None:
-                reader = asyncio.wait_for(reader, timeout)
-            body = await reader
+            body = await channel.read_message()
         except ProtocolError as exc:
-            # The peer died mid-message (or sent garbage): wire damage.
-            raise ConnectionResetError(f"wire damage: {exc}") from exc
-        except _TIMEOUT_ERRORS as exc:
+            if not expired:
+                # The peer died mid-message (or sent garbage): wire damage.
+                raise ConnectionResetError(f"wire damage: {exc}") from exc
+            body = None
+        except _CONNECTION_ERRORS:
+            # The timer's abort may end the read with any of these.
+            if not expired:
+                raise
+            body = None
+        finally:
+            if timer is not None:
+                timer.cancel()
+        if expired:
             raise ConnectionResetError(
-                f"server silent for {timeout:g}s (op timeout)") from exc
+                f"server silent for {timeout:g}s (op timeout)")
         if body is None:
             raise ConnectionResetError("server closed the connection")
         self.bytes_received += len(body)

@@ -111,6 +111,14 @@ class _Connection:
         #: stream_id -> remaining PUSH credits on this connection.
         self.credits: "dict[str, int]" = {}
         self.name = channel.peer
+        #: The connection handler's task (the one that builds this).
+        self.task = asyncio.current_task()
+        #: Whether the handler is parked in a read between frames.
+        self.waiting = False
+        #: The drain grace timer over the current read, if one is armed.
+        self.grace: "asyncio.TimerHandle | None" = None
+        #: Set when that timer fired and interrupted the read.
+        self.grace_over = False
         self.m_frames_in = metrics.counter("server_frames_in_total",
                                            transport=transport)
         self.m_frames_out = metrics.counter("server_frames_out_total",
@@ -143,6 +151,19 @@ class _Connection:
         self.m_frames_out.inc(len(bodies))
         self.m_bytes_out.inc(sum(len(body) for body in bodies))
         await self.channel.write_messages(bodies)
+
+    def arm_grace(self) -> None:
+        """Give the current (or next) read :data:`DRAIN_GRACE_SECONDS`;
+        interrupt the handler if it still waits in it then."""
+        if self.grace is None:
+            self.grace = asyncio.get_running_loop().call_later(
+                DRAIN_GRACE_SECONDS, self._end_grace)
+
+    def _end_grace(self) -> None:
+        self.grace = None
+        if self.waiting:
+            self.grace_over = True
+            self.task.cancel()
 
     async def close(self) -> None:
         """Close the transport, swallowing teardown races."""
@@ -243,8 +264,9 @@ class StreamService:
         self._meta_stores: "dict[str, object]" = {}
         #: (tenant, stream_id) -> owning connection, while one is live.
         self._owners: "dict[tuple[str, str], _Connection]" = {}
-        #: (tenant, stream_id) -> key bytes seen for that stream.
-        self._keys: "dict[tuple[str, str], bytes]" = {}
+        #: (tenant, stream_id) -> fingerprint of the key the stream was
+        #: opened with (:func:`_key_fingerprint`, once per open).
+        self._key_fps: "dict[tuple[str, str], str]" = {}
         #: (tenant, stream_id) -> deque of (start_pos, values) result
         #: payloads not yet acknowledged by the client.
         self._outbuf: "dict[tuple[str, str], deque]" = {}
@@ -256,7 +278,6 @@ class StreamService:
         self._listener: "Listener | None" = None
         self._drained = asyncio.Event()
         self._draining = False
-        self._drain_begun = asyncio.Event()
         self._drain_reason = "drain"
         self._drain_seconds: "float | None" = None
         self._started_at: "float | None" = None
@@ -335,7 +356,9 @@ class StreamService:
         in-flight frames for :data:`DRAIN_GRACE_SECONDS` (so a STATUS
         request racing the SIGTERM still gets a well-formed final
         snapshot), then sends BYE and closes; this method waits for
-        them and force-closes any straggler past the deadline.
+        them and force-closes any straggler past the deadline.  A
+        handler waiting in a read gets its grace timer here; a busy
+        one arms its own when it next reads.
         """
         if self._draining:
             await self._drained.wait()
@@ -343,7 +366,6 @@ class StreamService:
         self._draining = True
         self._drain_reason = reason
         started = time.perf_counter()
-        self._drain_begun.set()
         try:
             for task in (self._flusher, self._status_task):
                 if task is not None:
@@ -358,6 +380,9 @@ class StreamService:
                 # listener still closes.  Cadence checkpoints are the
                 # durability backstop.
                 self.errors += 1
+            for connection in self._connections:
+                if connection.waiting:
+                    connection.arm_grace()
             loop = asyncio.get_running_loop()
             deadline = loop.time() + 4 * DRAIN_GRACE_SECONDS + 1.0
             while self._connections and loop.time() < deadline:
@@ -554,18 +579,16 @@ class StreamService:
         least every output the durable session state has released.
         """
         claim = (tenant, stream_id)
-        key = self._keys.get(claim)
         entry = {
             "acked": self._acked.get(claim, 0),
-            "key_fp": (_key_fingerprint(tenant, stream_id, key)
-                       if key is not None else None),
+            "key_fp": self._key_fps.get(claim),
             "chunks": [[int(start), protocol.encode_array(values)]
                        for start, values in self._outbuf.get(claim, ())],
         }
         self._meta_stores[tenant].save(stream_id, entry)
 
     def _load_sidecar(self, tenant: str, stream_id: str,
-                      key: bytes) -> None:
+                      fingerprint: str) -> None:
         """Rehydrate the replay buffer after a ``--recover`` restore.
 
         Verifies the key fingerprint recorded at checkpoint time: a
@@ -578,8 +601,7 @@ class StreamService:
             return
         entry = meta.load(stream_id)
         recorded = entry.get("key_fp")
-        if recorded is not None \
-                and recorded != _key_fingerprint(tenant, stream_id, key):
+        if recorded is not None and recorded != fingerprint:
             raise ReproError(
                 f"key mismatch for stream {stream_id!r}; a resumed "
                 "stream must re-supply its original key"
@@ -592,7 +614,7 @@ class StreamService:
     def _forget_stream(self, claim: "tuple[str, str]") -> None:
         """Drop all service-side state for a finished/dropped stream."""
         self._owners.pop(claim, None)
-        self._keys.pop(claim, None)
+        self._key_fps.pop(claim, None)
         self._outbuf.pop(claim, None)
         self._acked.pop(claim, None)
         self._push_counts.pop(claim, None)
@@ -663,50 +685,46 @@ class StreamService:
                                "credits": self._credits})
         return True
 
-    async def _next_frame(self, connection: _Connection) \
-            -> "tuple[asyncio.Future | None, bool]":
-        """One read, raced against the drain notice.
+    async def _next_frame(self, connection: _Connection) -> "dict | None":
+        """The next frame, or ``None`` once the conversation is over:
+        the peer closed, or the server is draining and no frame arrived
+        within the grace window (the BYE is sent here).
 
-        Returns ``(read_future, timed_out)``: the completed read future
-        (``result()`` yields the frame, or re-raises its error), or
-        ``(None, True)`` when the server is draining and no frame
-        arrived within the grace window — the caller should say BYE.
+        The handler awaits the read itself: no task, future or wait per
+        frame.  While the server drains, the read runs under a grace
+        timer (:meth:`_Connection.arm_grace`), so a request already on
+        the wire (STATUS during SIGTERM) is still served before the
+        goodbye.
         """
-        read = asyncio.ensure_future(connection.read())
-        if not self._draining:
-            notice = asyncio.ensure_future(self._drain_begun.wait())
-            try:
-                await asyncio.wait({read, notice},
-                                   return_when=asyncio.FIRST_COMPLETED)
-            finally:
-                notice.cancel()
-        if not read.done():
-            # Drain began with no frame in flight: grant the grace
-            # window, so a request already on the wire (STATUS during
-            # SIGTERM) is still served before the goodbye.
-            done, _ = await asyncio.wait({read},
-                                         timeout=DRAIN_GRACE_SECONDS)
-            if not done:
-                read.cancel()
-                try:
-                    await read
-                except (asyncio.CancelledError, ConnectionError, OSError,
-                        ProtocolError):
-                    pass
-                return None, True
-        return read, False
+        if self._draining:
+            connection.arm_grace()
+        connection.waiting = True
+        try:
+            return await connection.read()
+        except asyncio.CancelledError:
+            if not connection.grace_over:
+                raise
+            # The cancel was the grace timer's: take it back so later
+            # awaits in this task run normally, unless a shutdown asked
+            # for one too (Python 3.11+ counts the requests).
+            uncancel = getattr(connection.task, "uncancel", None)
+            if uncancel is not None and uncancel():
+                raise
+        finally:
+            connection.waiting = False
+            if connection.grace is not None:
+                connection.grace.cancel()
+                connection.grace = None
+        await self._send_bye(connection)
+        return None
 
     async def _serve_frames(self, connection: _Connection) -> None:
         handlers = {"open": self._on_open, "push": self._on_push,
                     "flush": self._on_flush, "status": self._on_status}
         grace_frames = 0
         while True:
-            read, timed_out = await self._next_frame(connection)
-            if timed_out:
-                await self._send_bye(connection)
-                return
             try:
-                frame = read.result()
+                frame = await self._next_frame(connection)
             except ProtocolError as exc:
                 self.errors += 1
                 await self._send_error(connection, "protocol", str(exc))
@@ -793,16 +811,17 @@ class StreamService:
                 "connection"
             )
         key = protocol.decode_key(frame["key"], source="open")
+        fingerprint = _key_fingerprint(tenant, stream_id, key)
         resume = bool(frame.get("resume", False))
         delivered = int(frame.get("delivered", 0))
-        known_key = self._keys.get(claim)
+        known = self._key_fps.get(claim)
         if stream_id in hub:
             if not resume:
                 raise ReproError(
                     f"stream {stream_id!r} already exists; reconnects "
                     "must open with resume=true"
                 )
-            if known_key is not None and known_key != key:
+            if known is not None and known != fingerprint:
                 raise ReproError(
                     f"key mismatch for stream {stream_id!r}; a resumed "
                     "stream must re-supply its original key"
@@ -810,7 +829,7 @@ class StreamService:
         elif resume and stream_id in hub.store:
             # Fingerprint check precedes the restore so a wrong key
             # cannot even build the session.
-            self._load_sidecar(tenant, stream_id, key)
+            self._load_sidecar(tenant, stream_id, fingerprint)
             hub.restore(stream_id, key)
         else:
             # Fresh registration — also the resume fallback when the
@@ -820,7 +839,7 @@ class StreamService:
             self._forget_stream(claim)
             self._register(hub, stream_id, key, frame)
         self._owners[claim] = connection
-        self._keys[claim] = key
+        self._key_fps[claim] = fingerprint
         connection.credits[stream_id] = self._credits
         offsets = hub.offsets(stream_id)
         self._note_ack(claim, delivered)

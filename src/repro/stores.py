@@ -19,9 +19,12 @@ Every entry is a **versioned JSON envelope**::
      "stream_id": "...", "sequence": 7, "state": {...}}
 
 ``sequence`` increments on every save, so operators (and ``repro hub
-status``) can see checkpoint progress.  The secret keys are **never**
-part of any entry — stores persist only what ``to_state()`` emits, and
-that contract excludes key material by construction.
+status``) can see checkpoint progress.  A save learns the sequence to
+follow by reading back and decoding the latest entry; the memory store
+skips that read while the entry is still the very text its own last
+save stored.  The secret keys are **never** part of any entry — stores
+persist only what ``to_state()`` emits, and that contract excludes key
+material by construction.
 
 Both backends funnel through one JSON round-trip, so a state that the
 directory backend would reject (non-serializable values) fails
@@ -233,6 +236,26 @@ class MemoryCheckpointStore(CheckpointStore):
 
     def __init__(self) -> None:
         self._entries: "dict[str, str]" = {}
+        #: stream_id -> (entry text, sequence) of this store's last save.
+        self._saved: "dict[str, tuple[str, int]]" = {}
+
+    def save(self, stream_id: str, state: dict) -> int:
+        """Persist ``state`` (see :meth:`CheckpointStore.save`), noting
+        the sequence next to the entry text it stored."""
+        sequence = super().save(stream_id, state)
+        self._saved[stream_id] = (self._entries[stream_id], sequence)
+        return sequence
+
+    def _current_sequence(self, stream_id: str) -> int:
+        """The last save's sequence while its entry text is still the
+        stored object; decoded from the stored entry otherwise: after a
+        delete, or once something other than :meth:`save` wrote the
+        entry (a chaos wrapper's torn write, say)."""
+        text = self._get(stream_id)
+        saved = self._saved.get(stream_id) if text is not None else None
+        if saved is not None and saved[0] is text:
+            return saved[1]
+        return super()._current_sequence(stream_id)
 
     def _put(self, stream_id: str, text: str) -> None:
         """Store the entry text in the process-local dict."""
@@ -246,6 +269,7 @@ class MemoryCheckpointStore(CheckpointStore):
 
     def _discard(self, stream_id: str) -> bool:
         """Remove the entry from the dict."""
+        self._saved.pop(stream_id, None)
         return self._entries.pop(stream_id, None) is not None
 
     def _ids(self) -> "list[str]":

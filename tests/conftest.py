@@ -17,6 +17,8 @@ workflow does).
 
 from __future__ import annotations
 
+import gc
+import logging
 import multiprocessing
 import os
 
@@ -50,6 +52,46 @@ def no_process_outlives_the_suite():
     yield
     alive = multiprocessing.active_children()
     assert not alive, f"processes outlived the test session: {alive}"
+
+
+#: What asyncio logs when a task or future is lost: collected while
+#: still pending, or failed with nobody reading its exception.
+LOST_TASK_MESSAGES = ("Task was destroyed but it is pending!",
+                      "Task exception was never retrieved",
+                      "Future exception was never retrieved")
+
+
+class _LostTaskHandler(logging.Handler):
+    """Collects asyncio's lost-task and lost-future records."""
+
+    def __init__(self) -> None:
+        super().__init__(logging.ERROR)
+        self.lost: "list[str]" = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        message = record.getMessage()
+        if message.startswith(LOST_TASK_MESSAGES):
+            self.lost.append(message)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_asyncio_task_is_lost():
+    """Fail the run when asyncio reports a lost task or future.
+
+    The server and client manage their own read interrupts and timers;
+    a task left pending or a failure nobody awaited shows up only as
+    this log line, at garbage collection.
+    """
+    handler = _LostTaskHandler()
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(handler)
+    try:
+        yield
+        gc.collect()
+    finally:
+        logger.removeHandler(handler)
+    assert not handler.lost, \
+        f"asyncio lost {len(handler.lost)} task(s)/future(s): {handler.lost}"
 
 
 #: Secret key shared by the reference fixtures.

@@ -29,11 +29,13 @@ import numpy as np
 import pytest
 
 from repro import DetectionSession, WatermarkParams, watermark_stream
-from repro.chaos import RetryPolicy
+from repro.chaos import (ChaosChannel, FaultInjector, FaultPlan,
+                         RetryPolicy, TransportFaults)
 from repro.errors import RemoteError
 from repro.server import protocol
-from repro.server.client import RemoteClient
-from repro.server.service import StreamService, _Connection
+from repro.server.client import AsyncRemoteClient, RemoteClient
+from repro.server.service import (DRAIN_GRACE_SECONDS, StreamService,
+                                  _Connection)
 from repro.server.transports import TcpTransport
 from repro.streams.generators import TemperatureSensorGenerator
 
@@ -767,6 +769,303 @@ class TestObservability:
         assert summary["push_ms"]["p50"] is not None
         assert summary["push_ms"]["p99"] is not None
         assert summary["server"]["pushes"] >= workers * pushes
+
+
+def _live_timers(loop) -> set:
+    """The loop's timers still scheduled (event-loop internals)."""
+    return {handle for handle in loop._scheduled if not handle.cancelled()}
+
+
+def _open_frame(stream_id: str) -> dict:
+    return {"type": "open", "stream_id": stream_id, "kind": "protection",
+            "key": protocol.encode_key(KEY), "watermark": "1",
+            "params": _params_dict()}
+
+
+class TestDrainGrace:
+    """The drain contract of the frame loop: a handler parked in a read
+    when the drain starts still gets the grace window, then says BYE."""
+
+    @staticmethod
+    async def _opened_peer(host, port, stream_id) -> RawPeer:
+        peer = await RawPeer.connect(host, port)
+        await peer.hello()
+        await peer.send(_open_frame(stream_id))
+        assert (await peer.read())["op"] == "open"
+        assert (await peer.read())["type"] == "credit"
+        return peer
+
+    def test_idle_client_gets_bye_within_grace(self, harness):
+        host, port = harness.service.address
+
+        async def idle_through_drain():
+            peer = await self._opened_peer(host, port, "idle")
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            drain = asyncio.ensure_future(harness.service.drain())
+            frame = await peer.read()
+            waited = loop.time() - started
+            await drain
+            await peer.channel.close()
+            return frame, waited
+
+        frame, waited = harness._call(idle_through_drain())
+        assert frame == {"type": "bye", "reason": "drain"}
+        assert DRAIN_GRACE_SECONDS - 0.01 <= waited \
+            < DRAIN_GRACE_SECONDS + 1.0
+
+    def test_push_inside_grace_is_answered_and_checkpointed(self,
+                                                            harness):
+        values = TemperatureSensorGenerator(eta=60, seed=65).generate(800)
+        host, port = harness.service.address
+
+        async def push_during_drain():
+            peer = await self._opened_peer(host, port, "late")
+            drain = asyncio.ensure_future(harness.service.drain())
+            await asyncio.sleep(DRAIN_GRACE_SECONDS / 5)
+            await peer.send({"type": "push", "stream_id": "late",
+                             "seq": 0, "delivered": 0, "values": values})
+            frames = []
+            while not frames or frames[-1]["type"] != "bye":
+                frames.append(await peer.read())
+            await drain
+            await peer.channel.close()
+            return frames
+
+        frames = harness._call(push_during_drain())
+        assert [frame["type"] for frame in frames] \
+            == ["result", "credit", "bye"]
+        assert frames[0]["op"] == "push" and frames[0]["items_in"] == 800
+        entry = harness.service.hub_for("default").store.entry("late")
+        assert entry["state"]["scan"]["counters"]["items"] == 800
+
+
+class SilencingProxy:
+    """A TCP relay in front of a server that can make the server look
+    silent: after :meth:`silence`, the first connection relays nothing
+    more from the server.  Later connections relay normally, and open
+    only once the first is closed upstream (so the server has let go of
+    its streams before the client resumes them)."""
+
+    def __init__(self, upstream) -> None:
+        self._upstream = upstream
+        self._muted = asyncio.Event()
+        self._first_closed = asyncio.Event()
+        self._accepted = 0
+        self._relays: "list[asyncio.Task]" = []
+        self._server = None
+        self.address = None
+
+    async def start(self):
+        self._server = await asyncio.start_server(self._accept,
+                                                  "127.0.0.1", 0)
+        self.address = self._server.sockets[0].getsockname()[:2]
+        return self.address
+
+    def silence(self) -> None:
+        self._muted.set()
+
+    async def _accept(self, reader, writer) -> None:
+        self._accepted += 1
+        first = self._accepted == 1
+        if not first:
+            await self._first_closed.wait()
+        up_reader, up_writer = await asyncio.open_connection(
+            *self._upstream)
+        self._relays += [
+            asyncio.ensure_future(self._relay(reader, up_writer,
+                                              done=first)),
+            asyncio.ensure_future(self._relay(
+                up_reader, writer, muted=self._muted if first else None))]
+
+    async def _relay(self, reader, writer, muted=None, done=False):
+        try:
+            while True:
+                data = await reader.read(1 << 16)
+                if not data:
+                    break
+                if muted is None or not muted.is_set():
+                    writer.write(data)
+                    await writer.drain()
+        except (ConnectionError, OSError):
+            pass
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+            if done:
+                self._first_closed.set()
+
+    async def close(self) -> None:
+        self._server.close()
+        await self._server.wait_closed()
+        for relay in self._relays:
+            relay.cancel()
+        await asyncio.gather(*self._relays, return_exceptions=True)
+
+
+def _hello_then(frames):
+    """A peer that answers HELLO, sends ``frames`` and goes silent."""
+    async def handler(channel):
+        try:
+            await channel.read_message()
+            hello = {"type": "hello",
+                     "version": protocol.PROTOCOL_VERSION, "credits": 1}
+            await channel.write_messages([protocol.CODEC.encode(frame)
+                                          for frame in (hello, *frames)])
+            while await channel.read_message() is not None:
+                pass
+        finally:
+            await channel.close()
+    return handler
+
+
+class TestOpTimeout:
+    """The client's per-read op timeout against a server gone silent."""
+
+    @staticmethod
+    def _time_one_read(op_timeout, frames=(), stall_seconds=None):
+        """Time one ``_read`` from a peer that answered HELLO and then
+        sent only ``frames``; with ``stall_seconds``, the client's reads
+        first sit out an injected chaos stall that long.
+
+        Returns the seconds the read took, the reset it raised, and the
+        tasks and live timers it left behind.
+        """
+        async def read_once():
+            listener = await TcpTransport().serve("127.0.0.1", 0,
+                                                  _hello_then(frames))
+            client = AsyncRemoteClient(
+                *listener.address, retry=RetryPolicy(op_timeout=op_timeout))
+            await client.connect()
+            if stall_seconds is not None:
+                client._channel = ChaosChannel(
+                    client._channel, FaultInjector(FaultPlan(seed=1)),
+                    TransportFaults(stall_rate=1.0,
+                                    stall_seconds=stall_seconds),
+                    site="client.transport")
+            loop = asyncio.get_running_loop()
+            tasks, timers = asyncio.all_tasks(), _live_timers(loop)
+            started = loop.time()
+            with pytest.raises(ConnectionResetError) as reset:
+                await client._read()
+            waited = loop.time() - started
+            await asyncio.sleep(0)
+            new_tasks = [task for task in asyncio.all_tasks() - tasks
+                         if not task.done()]
+            timers = _live_timers(loop) - timers
+            await client._drop_transport()
+            listener.close()
+            await listener.wait_closed()
+            return waited, str(reset.value), new_tasks, timers
+
+        return asyncio.run(asyncio.wait_for(read_once(), 15))
+
+    def test_silent_peer_read_times_out_cleanly(self):
+        """``_read`` raises the op-timeout reset after about
+        ``op_timeout`` and leaves no task or timer of that read."""
+        waited, reset, new_tasks, timers = self._time_one_read(0.3)
+        assert reset == "server silent for 0.3s (op timeout)"
+        assert 0.3 <= waited < 1.3
+        assert new_tasks == []
+        assert timers == set()
+
+    def test_chaos_stall_costs_only_the_op_timeout(self):
+        """A client-side chaos stall longer than the op timeout is cut
+        short by it: the frame already sent waits behind a 2 s stall,
+        and the read gives up after about 0.3 s, not 2 s."""
+        credit = {"type": "credit", "stream_id": "s", "credits": 1}
+        waited, reset, new_tasks, timers = self._time_one_read(
+            0.3, frames=[credit], stall_seconds=2.0)
+        assert reset == "server silent for 0.3s (op timeout)"
+        assert 0.3 <= waited < 1.0
+        assert new_tasks == []
+        assert timers == set()
+
+    def test_silent_server_mid_feed_resumes_bit_identically(self,
+                                                            harness):
+        """A server that goes silent mid-feed costs one op timeout: the
+        SDK reconnects, resumes and delivers every item exactly once."""
+        values = TemperatureSensorGenerator(eta=60, seed=66).generate(2000)
+        reference, _ = watermark_stream(values, "1", KEY, params=PARAMS)
+
+        async def feed_through_silence():
+            proxy = SilencingProxy(harness.service.address)
+            host, port = await proxy.start()
+            policy = RetryPolicy(op_timeout=0.5, max_delay=0.05)
+            out = []
+            async with AsyncRemoteClient(host, port, retry=policy) as client:
+                session = await client.protect("hushed", "1", KEY,
+                                               params=PARAMS)
+                out.append(await session.feed(values[:500]))
+                proxy.silence()
+                for start in range(500, 2000, 500):
+                    out.append(await session.feed(values[start:start + 500]))
+                out.append(await session.finish())
+                reconnects = client.reconnects
+            await proxy.close()
+            return np.concatenate([p for p in out if p.size]), reconnects
+
+        marked, reconnects = asyncio.run(
+            asyncio.wait_for(feed_through_silence(), 30))
+        assert reconnects == 1
+        assert np.array_equal(marked, reference)
+
+
+class TestTaskBudget:
+    def test_tasks_per_connection_do_not_grow_with_pushes(self, harness):
+        """Serving 200 pushes creates no asyncio task per frame or per
+        read, on the server or on the client, and leaves no timer of
+        any read behind."""
+        pushes, chunk = 200, 64
+        values = TemperatureSensorGenerator(eta=60, seed=67).generate(
+            (pushes + 1) * chunk)
+        created = {"server": 0, "client": 0}
+
+        def counting(side):
+            def factory(loop, coro, **kwargs):
+                created[side] += 1
+                return asyncio.Task(coro, loop=loop, **kwargs)
+            return factory
+
+        async def set_factory(factory):
+            asyncio.get_running_loop().set_task_factory(factory)
+
+        async def server_timers():
+            return len(_live_timers(asyncio.get_running_loop()))
+
+        async def serve_pushes():
+            loop = asyncio.get_running_loop()
+            loop.set_task_factory(counting("client"))
+            async with AsyncRemoteClient(*harness.service.address,
+                                         push_items=chunk) as client:
+                session = await client.protect("tasks", "1", KEY,
+                                               params=PARAMS)
+                await session.feed(values[:chunk])
+                timers = (len(_live_timers(loop)),
+                          harness._call(server_timers()))
+                before = dict(created)
+                for index in range(1, pushes + 1):
+                    await session.feed(
+                        values[index * chunk:(index + 1) * chunk])
+                grown = {side: created[side] - before[side]
+                         for side in created}
+                grown["timers"] = len(_live_timers(loop)) - timers[0]
+                grown["server_timers"] = harness._call(
+                    server_timers()) - timers[1]
+                await session.finish()
+            return grown
+
+        harness._call(set_factory(counting("server")))
+        try:
+            grown = asyncio.run(asyncio.wait_for(serve_pushes(), 60))
+        finally:
+            harness._call(set_factory(None))
+        assert grown["server"] <= 2, grown
+        assert grown["client"] <= 2, grown
+        assert grown["timers"] <= 0 and grown["server_timers"] <= 0, grown
 
 
 class TestServeJsonLifecycle:

@@ -17,8 +17,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.chaos import (ChaosCheckpointStore, FaultInjector, FaultPlan,
+                         StoreFaults)
 from repro.errors import CheckpointStoreError
-from repro.stores import DirectoryCheckpointStore, MemoryCheckpointStore
+from repro.stores import (CheckpointStore, DirectoryCheckpointStore,
+                          MemoryCheckpointStore)
 
 STATE = {"kind": "protection-session", "format_version": 1,
          "config": {"encoding": "multihash"}, "scan": {"counters": {}}}
@@ -371,6 +374,190 @@ class TestCrashWindows:
         assert (tmp_path / "s.json").read_bytes() == before
         recovered = DirectoryCheckpointStore(tmp_path, generations=3)
         assert recovered.load("s")["n"] == 2
+
+
+#: Store shapes whose sequence numbering must agree with a store that
+#: decodes the previous entry on every save.
+STORE_KINDS = ("memory", "directory-g1", "directory-g3",
+               "chaos-directory-g3")
+
+#: Expected outcome of a save that must fail.
+RAISES = "raises"
+
+
+def _build(kind: str, path) -> CheckpointStore:
+    if kind == "memory":
+        return MemoryCheckpointStore()
+    if kind == "directory-g1":
+        return DirectoryCheckpointStore(path, generations=1)
+    directory = DirectoryCheckpointStore(path, generations=3)
+    if kind == "directory-g3":
+        return directory
+    return ChaosCheckpointStore(directory,
+                                FaultInjector(FaultPlan(seed=1)))
+
+
+def _backend(store: CheckpointStore) -> CheckpointStore:
+    return getattr(store, "inner", store)
+
+
+def _envelope(stream_id: str, sequence: int) -> str:
+    return json.dumps({"format_version": 1, "kind": "hub-checkpoint",
+                       "stream_id": stream_id, "sequence": sequence,
+                       "state": STATE})
+
+
+def _corrupt_latest(store: CheckpointStore, stream_id: str) -> None:
+    """Damage the latest entry in place, behind the store's back."""
+    backend = _backend(store)
+    if isinstance(backend, MemoryCheckpointStore):
+        backend._put(stream_id, "{")
+    else:
+        (backend.path / f"{stream_id}.json").write_text("{")
+
+
+def _failed_save(store: CheckpointStore, stream_id: str, *,
+                 torn: bool) -> None:
+    """One save whose write fails: a torn prefix of the entry lands
+    (``torn``), or nothing does (a transient I/O error)."""
+    if isinstance(store, ChaosCheckpointStore):
+        clean = store._faults
+        store._faults = StoreFaults(**{
+            "torn_write_rate" if torn else "io_error_rate": 1.0})
+        try:
+            with pytest.raises(CheckpointStoreError, match="chaos"):
+                store.save(stream_id, STATE)
+        finally:
+            store._faults = clean
+        return
+    put = store._put
+
+    def failing_put(sid, text):
+        if torn:
+            put(sid, text[:len(text) // 2])
+        raise CheckpointStoreError("write failed")
+
+    store._put = failing_put
+    try:
+        with pytest.raises(CheckpointStoreError, match="write failed"):
+            store.save(stream_id, STATE)
+    finally:
+        del store._put
+
+
+def _expect_save(store: CheckpointStore, stream_id: str, expected) -> None:
+    if expected == RAISES:
+        with pytest.raises(CheckpointStoreError):
+            store.save(stream_id, STATE)
+    else:
+        assert store.save(stream_id, STATE) == expected
+
+
+@pytest.fixture()
+def seeded(kind, tmp_path):
+    """A store of one kind holding three saves of stream ``s``."""
+    store = _build(kind, tmp_path / "store")
+    assert [store.save("s", STATE) for _ in range(3)] == [1, 2, 3]
+    return store
+
+
+@pytest.mark.parametrize("kind", STORE_KINDS)
+class TestSequenceParity:
+    """Sequences a store remembers equal the ones it would read back.
+
+    Each case starts from three saves (sequence 3) and checks the next
+    save against what decoding the stored entry gives.
+    """
+
+    @pytest.fixture()
+    def store(self, seeded):
+        return seeded
+
+    def test_repeated_saves(self, store):
+        assert [store.save("s", STATE) for _ in range(3)] == [4, 5, 6]
+        assert store.save("other", STATE) == 1
+        assert store.entry("s")["sequence"] == 6
+
+    def test_delete_then_save_restarts_at_one(self, store):
+        store.delete("s")
+        assert store.save("s", STATE) == 1
+
+    def test_torn_write(self, store, kind):
+        _failed_save(store, "s", torn=True)
+        # The torn entry is the latest: without an intact generation
+        # behind it the next save raises, with one it falls back to the
+        # generation the torn write rotated out (sequence 3).
+        _expect_save(store, "s", 4 if kind.endswith("g3") else RAISES)
+
+    def test_io_error(self, store):
+        _failed_save(store, "s", torn=False)
+        _expect_save(store, "s", 4)
+
+    def test_generation_fallback(self, store, kind):
+        _corrupt_latest(store, "s")
+        if not kind.endswith("g3"):
+            with pytest.raises(CheckpointStoreError):
+                store.load("s")
+            return
+        assert store.entry("s")["sequence"] == 2
+        _expect_save(store, "s", 3)
+
+    def test_external_corruption(self, store, kind):
+        _corrupt_latest(store, "s")
+        # A fallback promotes generation 1 (sequence 2).
+        _expect_save(store, "s", 3 if kind.endswith("g3") else RAISES)
+
+    def test_external_corruption_of_every_generation_raises(self, store):
+        _corrupt_latest(store, "s")
+        backend = _backend(store)
+        for generation in (1, 2):
+            if isinstance(backend, DirectoryCheckpointStore):
+                path = backend.path / f"s.json.{generation}"
+                if path.exists():
+                    path.write_text("{")
+        _expect_save(store, "s", RAISES)
+
+    def test_external_rewrite(self, store):
+        _backend(store)._put("s", _envelope("s", 41))
+        _expect_save(store, "s", 42)
+
+
+def test_steady_memory_saves_decode_at_most_once(monkeypatch):
+    """The memory store numbers steady saves without reading back."""
+    store = MemoryCheckpointStore()
+    decode = CheckpointStore._decode
+    decoded = []
+
+    def counting_decode(self, raw, stream_id):
+        decoded.append(stream_id)
+        return decode(self, raw, stream_id)
+
+    monkeypatch.setattr(CheckpointStore, "_decode", counting_decode)
+    assert [store.save("s", dict(STATE, n=n)) for n in range(100)] \
+        == list(range(1, 101))
+    assert len(decoded) <= 1
+
+
+def test_memory_store_keeps_nothing_of_a_deleted_stream():
+    store = MemoryCheckpointStore()
+    store.save("s", STATE)
+    store.delete("s")
+    assert store._entries == {} and store._saved == {}
+
+
+@pytest.mark.parametrize("kind", STORE_KINDS[1:])
+class TestSequenceParityOnDisk:
+    """Changes to the file that only a directory backend can see."""
+
+    def test_in_place_rewrite(self, seeded):
+        (_backend(seeded).path / "s.json").write_text(_envelope("s", 41))
+        _expect_save(seeded, "s", 42)
+
+    def test_second_writer(self, seeded):
+        other = DirectoryCheckpointStore(_backend(seeded).path,
+                                         generations=3)
+        assert other.save("s", STATE) == 4
+        _expect_save(seeded, "s", 5)
 
 
 class TestStreamIdFuzz:
