@@ -10,9 +10,9 @@ The public API has two layers:
 
 * **Streaming sessions** (production face): push-based
   :class:`ProtectionSession` / :class:`DetectionSession` with
-  checkpoint/resume, composable via :class:`Pipeline`; a multi-tenant
-  :class:`StreamHub` routes interleaved traffic across many
-  independently-keyed sessions, checkpointing them through pluggable
+  checkpoint/resume; a multi-tenant :class:`StreamHub` routes
+  interleaved traffic across many independently-keyed sessions,
+  checkpointing them through pluggable
   :class:`CheckpointStore` backends and recovering bit-identically
   after a crash; :mod:`repro.server` serves hubs over TCP (``repro
   serve``) with a framed protocol, credit-based flow control and a
@@ -87,11 +87,7 @@ from repro.errors import (
 from repro.hub import StreamHub, StreamStats, store_summary
 from repro.pipeline import (
     DetectionSession,
-    FunctionStage,
-    NormalizeStage,
-    Pipeline,
     ProtectionSession,
-    TransformStage,
     session_from_state,
 )
 from repro.registry import REGISTRY, ComponentRegistry
@@ -139,11 +135,7 @@ __all__ = [
     "ProtocolError",
     "RemoteError",
     "DetectionSession",
-    "FunctionStage",
-    "NormalizeStage",
-    "Pipeline",
     "ProtectionSession",
-    "TransformStage",
     "session_from_state",
     "StreamHub",
     "StreamStats",

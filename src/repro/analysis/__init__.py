@@ -8,11 +8,8 @@ from repro.analysis.attack_math import (
     weakening_factor,
 )
 from repro.analysis.metrics import (
-    detected_bias,
     label_alteration_aligned,
-    label_alteration_fraction,
     labeled_major_extremes,
-    major_extreme_labels,
     stream_stat_drift,
 )
 
@@ -22,10 +19,7 @@ __all__ = [
     "extra_data_fraction",
     "prob_all_removed",
     "weakening_factor",
-    "detected_bias",
     "label_alteration_aligned",
-    "label_alteration_fraction",
     "labeled_major_extremes",
-    "major_extreme_labels",
     "stream_stat_drift",
 ]

@@ -2,8 +2,6 @@
 
 * **label alteration %** (Figs 6, 8) — how many extreme labels change
   between an original stream and its attacked/transformed version;
-* **detected watermark bias** (Figs 7, 9, 10) — the net vote count from
-  a :class:`DetectionResult`;
 * **mean/std drift** (Sec 6.4) — the data-quality impact of embedding.
 """
 
@@ -11,32 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.detector import DetectionResult
 from repro.core.extremes import find_major_extremes
 from repro.core.labels import labels_for_extreme_values
 from repro.core.params import WatermarkParams
 from repro.core.quantize import Quantizer
 from repro.errors import ParameterError
 from repro.util.validation import as_float_array
-
-
-def major_extreme_labels(values, params: WatermarkParams,
-                         lambda_bits: "int | None" = None,
-                         effective_sigma: "int | None" = None,
-                         use_robust_reference: "bool | None" = None
-                         ) -> "list[int | None]":
-    """Labels of every major extreme of a stream, in order.
-
-    ``lambda_bits`` overrides the label size (the x-axis of Fig 8(a));
-    ``effective_sigma`` overrides majorness (Sec-4.2 adjustment when the
-    stream is known to be transformed); ``use_robust_reference`` chooses
-    between the pipeline's hysteresis-robust subset-mean references and
-    the paper's bare extreme values (default: follow ``params``).
-    """
-    return [label for _, label in labeled_major_extremes(
-        values, params, lambda_bits=lambda_bits,
-        effective_sigma=effective_sigma,
-        use_robust_reference=use_robust_reference)]
 
 
 def labeled_major_extremes(values, params: WatermarkParams,
@@ -48,7 +26,12 @@ def labeled_major_extremes(values, params: WatermarkParams,
 
     The index enables *aligned* label comparison across attacked or
     transformed copies, where insertions/deletions shift the extreme
-    sequence (see :func:`label_alteration_aligned`).
+    sequence (see :func:`label_alteration_aligned`).  ``lambda_bits``
+    overrides the label size (the x-axis of Fig 8(a));
+    ``effective_sigma`` overrides majorness (Sec-4.2 adjustment when the
+    stream is known to be transformed); ``use_robust_reference`` chooses
+    between subset-mean references and the paper's bare extreme values
+    (default: follow ``params``).
     """
     array = as_float_array(values, "values")
     quantizer = Quantizer(params.value_bits, params.avg_extra_bits)
@@ -108,40 +91,6 @@ def label_alteration_aligned(original: "list[tuple[int, int | None]]",
         if best_label != label:
             altered += 1
     return altered / len(defined)
-
-
-def label_alteration_fraction(original_labels: "list[int | None]",
-                              attacked_labels: "list[int | None]"
-                              ) -> float:
-    """Fraction of labels that differ, position-aligned (Figs 6, 8).
-
-    The k-th label of the original extreme sequence is compared with the
-    k-th label of the attacked sequence; a missing counterpart (the
-    attack created or destroyed extremes) counts as an alteration, since
-    detection would mis-label from that point until re-synchronization.
-    Warm-up (``None``) positions present on both sides are skipped.
-    """
-    if not original_labels:
-        raise ParameterError("original stream produced no labels")
-    n = len(original_labels)
-    altered = 0
-    compared = 0
-    for k in range(n):
-        original = original_labels[k]
-        attacked = attacked_labels[k] if k < len(attacked_labels) else None
-        if original is None and attacked is None:
-            continue
-        compared += 1
-        if original != attacked:
-            altered += 1
-    if compared == 0:
-        return 0.0
-    return altered / compared
-
-
-def detected_bias(result: DetectionResult, bit_index: int = 0) -> int:
-    """The figures' y-axis: net votes toward "true" for one bit."""
-    return result.bias(bit_index)
 
 
 def stream_stat_drift(original, marked) -> dict:

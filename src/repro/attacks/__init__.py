@@ -18,8 +18,7 @@ test-suite and benchmarks demonstrate the resilience claims:
 Stream-mangling attacks also register *builders* with the central
 :class:`repro.registry.ComponentRegistry` under kind ``"attack"``
 (options in, ``values -> values`` callable out), which is how the
-:class:`AttackSuite`, the ``repro attack`` CLI and
-:meth:`repro.transforms.Compose.from_names` resolve them by name.
+:class:`AttackSuite` and the ``repro attack`` CLI resolve them by name.
 """
 
 from __future__ import annotations

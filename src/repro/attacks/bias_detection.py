@@ -10,8 +10,8 @@ positions where the subset agrees suspiciously, randomize them.
 
 The multi-hash encoding survives by construction — its alterations are
 hash-targeted, hence indistinguishable from noise, and no position-level
-consistency exists to find.  The ablation benchmark runs this attack
-against both encodings.
+consistency exists to find.  ``benchmarks/test_ablation_encodings.py``
+runs this attack against every encoding and gates both outcomes.
 """
 
 from __future__ import annotations

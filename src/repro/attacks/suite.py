@@ -1,8 +1,9 @@
 """Attack gauntlet: run a named battery of attacks/transforms at once.
 
-Used by the ``attack_gauntlet`` example and the resilience overview in
-EXPERIMENTS.md: one watermarked stream goes in, a dict of attacked
-variants comes out, and the caller detects against each.
+Used by the ``attack_gauntlet`` example; the benches write their
+per-attack results to ``benchmarks/results/``.  One watermarked stream
+goes in, a dict of attacked variants comes out, and the caller detects
+against each.
 
 The battery itself carries no attack code: every entry names a component
 registered with the central :class:`repro.registry.ComponentRegistry`

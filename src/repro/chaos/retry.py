@@ -97,7 +97,3 @@ class RetryPolicy:
         cap = min(self.max_delay,
                   self.base_delay * self.multiplier ** max(0, attempt))
         return (rng or random).uniform(0.0, cap)
-
-    def with_attempts(self, attempts: int) -> "RetryPolicy":
-        """A copy with a different attempt budget (same shape)."""
-        return dataclasses.replace(self, attempts=max(1, int(attempts)))

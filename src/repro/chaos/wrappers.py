@@ -312,9 +312,11 @@ class ChaosCheckpointStore(CheckpointStore):
             raise CheckpointStoreError(
                 f"chaos: torn write for checkpoint {stream_id!r} "
                 f"({keep}/{len(text)} bytes persisted)")
-        previous = self._inner._get(stream_id)
-        if previous is not None:
-            self._shadow[stream_id] = previous
+        if self._faults.stale_read_rate > 0.0:
+            # Only a plan that can serve a stale read needs the shadow.
+            previous = self._inner._get(stream_id)
+            if previous is not None:
+                self._shadow[stream_id] = previous
         self._inner._put(stream_id, text)
 
     def _get(self, stream_id: str) -> "str | None":

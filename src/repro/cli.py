@@ -486,9 +486,8 @@ def _cmd_detect(args) -> int:
 
 def _cmd_attack(args) -> int:
     values = _load(args)
-    # Transforms shadow attacks on a name collision — the same order
-    # Compose.from_names and TransformStage use, so one name always
-    # means one component everywhere.
+    # Transforms shadow attacks on a name collision, so one name always
+    # means one component.
     registration = REGISTRY.find(args.kind, kinds=("transform", "attack"))
     builder = registration.obj
     # Offer every CLI tuning flag; the builder takes what it understands.

@@ -122,24 +122,6 @@ class DetectionResult:
             return 0.0
         return sum(est == exp for est, exp in decided) / len(decided)
 
-    def recovered_bits(self) -> "list[bool | None]":
-        """Alias of :meth:`wm_estimate` with the configured threshold."""
-        return self.wm_estimate()
-
-    def summary(self) -> dict:
-        """Flat dict for logging / EXPERIMENTS.md tables."""
-        c = self.counters
-        return {
-            "items": c.items,
-            "extremes": c.extremes_confirmed,
-            "majors": c.majors,
-            "selected": c.selected,
-            "warmup_skips": c.warmup_skips,
-            "abstentions": self.abstentions,
-            "total_bias": self.total_bias,
-            "bias_bit0": self.bias(0) if self.wm_length else 0,
-        }
-
     def _check_index(self, bit_index: int) -> None:
         if not 0 <= bit_index < self.wm_length:
             raise ParameterError(

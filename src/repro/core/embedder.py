@@ -66,7 +66,7 @@ class EmbedReport:
         return self.sum_abs_alteration / self.altered_items
 
     def summary(self) -> dict:
-        """Flat dict for logging / EXPERIMENTS.md tables."""
+        """Flat dict for logs and the ``benchmarks/results/`` tables."""
         c = self.counters
         return {
             "items": c.items,

@@ -101,24 +101,6 @@ class ZigzagState:
         """State for a scan starting with unknown direction."""
         return cls()
 
-    @classmethod
-    def after_extreme(cls, extreme_kind: int, next_index: int,
-                      next_value: float) -> "ZigzagState":
-        """State for resuming just past a confirmed extreme.
-
-        After a maximum the stream is descending, so the scan tracks a
-        minimum candidate (and vice versa).
-        """
-        if extreme_kind == MAXIMUM:
-            return cls(trend=MINIMUM, min_index=next_index,
-                       min_value=next_value,
-                       max_index=next_index, max_value=next_value)
-        if extreme_kind == MINIMUM:
-            return cls(trend=MAXIMUM, max_index=next_index,
-                       max_value=next_value,
-                       min_index=next_index, min_value=next_value)
-        raise ParameterError(f"extreme_kind must be +-1, got {extreme_kind}")
-
     # ------------------------------------------------------------------
     # checkpoint / resume
     # ------------------------------------------------------------------

@@ -228,12 +228,6 @@ class WatermarkParams:
         """
         return 2.0 ** (self.lsb_bits - self.value_bits)
 
-    def selection_fraction(self, wm_length: int) -> float:
-        """Fraction ``b(wm)/phi`` of major extremes that carry bits."""
-        if wm_length < 1:
-            raise ParameterError(f"wm_length must be >= 1, got {wm_length}")
-        return min(1.0, wm_length / self.phi)
-
     def validate_for_watermark(self, wm_length: int) -> None:
         """Check the Sec-3.2 requirement ``phi > b(wm)``."""
         if wm_length < 1:

@@ -16,7 +16,7 @@ would cost window slots better spent on incoming data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 from repro.errors import ParameterError

@@ -138,10 +138,6 @@ class Quantizer:
             raise ParameterError("quantized values outside representable range")
         return (q + 0.5) / self._scale - 0.5
 
-    def requantize(self, value: float) -> float:
-        """Snap a float onto the quantization grid (embedder output form)."""
-        return self.dequantize(self.quantize(value))
-
     # ------------------------------------------------------------------
     def msb(self, value: float, n_bits: int) -> int:
         """``msb(x, n)`` of the quantized value — the selection input.

@@ -1,19 +1,16 @@
-"""Evidence serialization: persist and reload detection/embedding state.
+"""Checkpoint serialization of watermarking parameters and embed reports.
 
-Rights-protection evidence outlives processes: the embed report carries
-the reference statistics detection needs years later (Sec 4.2's average
-subset size), and a detection result is the artifact presented in court.
-Both serialize to plain JSON-compatible dicts — no pickle, so archives
-remain readable and tamper-evident alongside any notarization scheme.
+A session checkpoint carries its parameter set and its embed report,
+which holds the reference statistics detection needs later (Sec 4.2's
+average subset size).  Both serialize to plain JSON-compatible dicts —
+no pickle, so checkpoints remain readable and tamper-evident alongside
+any notarization scheme.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-from pathlib import Path
 
-from repro.core.detector import DetectionResult
 from repro.core.embedder import EmbedReport
 from repro.core.params import WatermarkParams
 from repro.core.scanner import ScanCounters
@@ -57,30 +54,6 @@ def params_from_dict(data: dict) -> WatermarkParams:
     return WatermarkParams(**data)
 
 
-def detection_to_dict(result: DetectionResult) -> dict:
-    """Serialize a detection result (buckets, counters, threshold)."""
-    return {
-        "format_version": _FORMAT_VERSION,
-        "kind": "detection-result",
-        "buckets_true": list(result.buckets_true),
-        "buckets_false": list(result.buckets_false),
-        "abstentions": result.abstentions,
-        "vote_threshold": result.vote_threshold,
-        "counters": _counters_to_dict(result.counters),
-    }
-
-
-def detection_from_dict(data: dict) -> DetectionResult:
-    """Reconstruct a detection result serialized by :func:`detection_to_dict`."""
-    _check(data, "detection-result")
-    return DetectionResult(
-        buckets_true=[int(x) for x in data["buckets_true"]],
-        buckets_false=[int(x) for x in data["buckets_false"]],
-        counters=_counters_from_dict(data["counters"]),
-        abstentions=int(data["abstentions"]),
-        vote_threshold=int(data["vote_threshold"]))
-
-
 def report_to_dict(report: EmbedReport) -> dict:
     """Serialize an embed report (everything detection may need later)."""
     return {
@@ -109,31 +82,6 @@ def report_from_dict(data: dict) -> EmbedReport:
         altered_items=int(data["altered_items"]),
         sum_abs_alteration=float(data["sum_abs_alteration"]),
         max_abs_alteration=float(data["max_abs_alteration"]))
-
-
-def save_json(obj, path: "str | Path") -> None:
-    """Persist a detection result or embed report to a JSON file."""
-    if isinstance(obj, DetectionResult):
-        payload = detection_to_dict(obj)
-    elif isinstance(obj, EmbedReport):
-        payload = report_to_dict(obj)
-    else:
-        raise ParameterError(
-            f"cannot serialize {type(obj).__name__}; expected "
-            "DetectionResult or EmbedReport"
-        )
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def load_json(path: "str | Path"):
-    """Load whatever :func:`save_json` stored at ``path``."""
-    data = json.loads(Path(path).read_text())
-    kind = data.get("kind")
-    if kind == "detection-result":
-        return detection_from_dict(data)
-    if kind == "embed-report":
-        return report_from_dict(data)
-    raise ParameterError(f"unknown serialized kind {kind!r}")
 
 
 def _check(data: dict, expected_kind: str) -> None:

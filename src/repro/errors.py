@@ -26,10 +26,6 @@ class StreamError(ReproError):
     """A stream source or window operation was used incorrectly."""
 
 
-class WindowOverflowError(StreamError):
-    """More items were pushed into a :class:`SlidingWindow` than it holds."""
-
-
 class NormalizationError(StreamError, ValueError):
     """Values cannot be normalized (e.g. degenerate or empty range)."""
 

@@ -68,6 +68,7 @@ class Counter:
         self._value = 0
 
     def inc(self, amount: int = 1) -> None:
+        """Add ``amount`` (>= 0) to the count."""
         if amount < 0:
             raise ValueError("counters are monotonic; inc() amount must be >= 0")
         with self._lock:
@@ -89,14 +90,17 @@ class Gauge:
         self._value = 0.0
 
     def set(self, value: float) -> None:
+        """Replace the current value."""
         with self._lock:
             self._value = value
 
     def inc(self, amount: float = 1.0) -> None:
+        """Raise the value by ``amount``."""
         with self._lock:
             self._value += amount
 
     def dec(self, amount: float = 1.0) -> None:
+        """Lower the value by ``amount``."""
         with self._lock:
             self._value -= amount
 
@@ -129,6 +133,7 @@ class Histogram:
         self._max = None
 
     def observe(self, value: float) -> None:
+        """Record one sample into its bucket and the exact totals."""
         value = float(value)
         idx = bisect.bisect_left(self._bounds, value)
         with self._lock:
@@ -146,6 +151,7 @@ class Histogram:
             return self._count
 
     def quantile(self, q: float) -> "float | None":
+        """The bucket-interpolated ``q`` quantile; ``None`` when empty."""
         with self._lock:
             return self._quantile_locked(q)
 
@@ -177,6 +183,7 @@ class Histogram:
         return self._max
 
     def snapshot(self) -> dict:
+        """Count, sum, min, max, mean, p50/p95/p99 and non-empty buckets."""
         with self._lock:
             out = {
                 "count": self._count,
@@ -250,6 +257,7 @@ class MetricsRegistry:
 
     # -- factories -----------------------------------------------------
     def counter(self, name: str, **labels) -> Counter:
+        """The counter for ``name`` and ``labels``, created on first use."""
         if not self.enabled:
             return _NULL_COUNTER
         key = (name, _label_key(labels))
@@ -261,6 +269,7 @@ class MetricsRegistry:
         return entry[2]
 
     def gauge(self, name: str, **labels) -> Gauge:
+        """The gauge for ``name`` and ``labels``, created on first use."""
         if not self.enabled:
             return _NULL_GAUGE
         key = (name, _label_key(labels))
@@ -272,6 +281,8 @@ class MetricsRegistry:
         return entry[2]
 
     def histogram(self, name: str, buckets=LATENCY_US_BUCKETS, **labels) -> Histogram:
+        """The histogram for ``name`` and ``labels``, created on first use
+        (``buckets`` applies only then)."""
         if not self.enabled:
             return _NULL_HISTOGRAM
         key = (name, _label_key(labels))

@@ -1,4 +1,4 @@
-"""Push-based streaming sessions with checkpoint/resume, and pipelines.
+"""Push-based streaming sessions with checkpoint/resume.
 
 The paper's model is explicitly single-pass over an (almost) infinite
 stream; this module is the library's production face for that model:
@@ -9,9 +9,6 @@ stream; this module is the library's production face for that model:
 * :class:`DetectionSession` — ``feed(chunk)`` accumulates voting
   evidence incrementally; :meth:`DetectionSession.result` may be read
   at any moment (court evidence grows monotonically);
-* :class:`Pipeline` — composes stages (a :class:`Normalizer`, sessions,
-  registry-resolved transforms, plain callables) into one push-based
-  chain with correct end-of-stream draining;
 * **checkpoint/resume** — ``session.to_state()`` returns a plain
   JSON-compatible dict (window contents, zigzag continuation, label
   history, counters, voting buckets); ``Session.from_state(state, key)``
@@ -34,7 +31,6 @@ Quickstart::
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,11 +45,8 @@ from repro.core.serialize import (
 )
 from repro.core.watermark import to_bits
 from repro.errors import ParameterError, ReproError, SessionStateError
-from repro.registry import REGISTRY
-from repro.streams.normalize import Normalizer
 
 _STATE_VERSION = 1
-_EMPTY = np.asarray([], dtype=np.float64)
 
 #: The exact top-level / config key sets each checkpoint kind may carry.
 #: Unknown keys are rejected: a field this library does not understand
@@ -308,7 +301,7 @@ class DetectionSession:
     (possibly transformed) stream chunk-by-chunk and read the voting
     evidence at any time via :meth:`result`.  :meth:`feed` passes the
     scanned items through (window-delayed), so a detection session can
-    sit inside a :class:`Pipeline` without consuming the stream.
+    relay the stream it reads without consuming it.
     """
 
     _KIND = "detection-session"
@@ -440,165 +433,3 @@ def session_from_state(state: dict, key):
         )
     return cls.from_state(state, key)
 
-
-# ----------------------------------------------------------------------
-# pipeline stages
-# ----------------------------------------------------------------------
-class FunctionStage:
-    """Stateless stage: apply ``func`` to every chunk independently.
-
-    Suitable for per-item maps and for rate-reducing transforms whose
-    chunkwise application approximates the offline transform (e.g.
-    sampling); it holds no state, so it drains nothing at end-of-stream.
-    """
-
-    def __init__(self, func: Callable, name: "str | None" = None) -> None:
-        if not callable(func):
-            raise ParameterError(f"stage function {func!r} is not callable")
-        self._func = func
-        self.name = name or getattr(func, "__name__", "function")
-
-    def feed(self, chunk) -> np.ndarray:
-        """Apply the wrapped function to one chunk."""
-        return np.asarray(self._func(np.asarray(chunk, dtype=np.float64)),
-                          dtype=np.float64)
-
-    def finish(self) -> np.ndarray:
-        """Stateless stages hold nothing back."""
-        return _EMPTY
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FunctionStage({self.name})"
-
-
-class TransformStage(FunctionStage):
-    """Registry-resolved transform applied chunk-by-chunk.
-
-    ``TransformStage("summarize", degree=5)`` builds the registered
-    ``summarize`` transform and applies it per chunk.  Attack names
-    resolve too, so adversarial pipelines read the same way.
-    """
-
-    def __init__(self, name: str, **options) -> None:
-        registration = REGISTRY.find(name, kinds=("transform", "attack"))
-        super().__init__(registration.obj(**options), name=registration.name)
-
-
-class NormalizeStage:
-    """Normalization (or denormalization) as a pipeline stage."""
-
-    def __init__(self, normalizer: Normalizer,
-                 direction: str = "normalize") -> None:
-        if direction not in ("normalize", "denormalize"):
-            raise ParameterError(
-                f"direction must be 'normalize' or 'denormalize', "
-                f"got {direction!r}"
-            )
-        self._normalizer = normalizer
-        self._apply = (normalizer.normalize if direction == "normalize"
-                       else normalizer.denormalize)
-        self.name = direction
-
-    def feed(self, chunk) -> np.ndarray:
-        """Map one chunk between physical and normalized units."""
-        return np.asarray(self._apply(chunk), dtype=np.float64)
-
-    def finish(self) -> np.ndarray:
-        """Normalization is stateless; nothing to drain."""
-        return _EMPTY
-
-
-class _ScannerStage:
-    """Adapter giving raw scanners (process/finalize) the stage protocol."""
-
-    def __init__(self, scanner) -> None:
-        self._scanner = scanner
-        self.name = type(scanner).__name__
-
-    def feed(self, chunk) -> np.ndarray:
-        """Delegate to the scanner's ``process``."""
-        return self._scanner.process(chunk)
-
-    def finish(self) -> np.ndarray:
-        """Delegate to the scanner's ``finalize``."""
-        return self._scanner.finalize()
-
-
-class Pipeline:
-    """Composable push-based chain of streaming stages.
-
-    Stages are composed left-to-right; each chunk fed to the pipeline
-    flows through every stage, and :meth:`finish` drains each stage's
-    residue *through the remaining stages*, so windowed stages (the
-    sessions) release their tails in order.
-
-    Accepted stage forms, normalized automatically:
-
-    * anything with ``feed``/``finish`` (sessions, other pipelines);
-    * a :class:`Normalizer` (wrapped into :class:`NormalizeStage`);
-    * a raw :class:`StreamWatermarker`/:class:`StreamDetector` (wrapped);
-    * any plain ``values -> values`` callable (wrapped into
-      :class:`FunctionStage`).
-
-    >>> import numpy as np
-    >>> from repro.pipeline import Pipeline, ProtectionSession
-    >>> session = ProtectionSession("1", b"k")
-    >>> pipeline = Pipeline([session])
-    >>> _ = pipeline.feed(np.zeros(4)); tail = pipeline.finish()
-    """
-
-    def __init__(self, stages: Sequence) -> None:
-        if not stages:
-            raise ParameterError("Pipeline requires at least one stage")
-        self._stages = [self._as_stage(stage) for stage in stages]
-
-    @staticmethod
-    def _as_stage(obj):
-        if hasattr(obj, "feed") and hasattr(obj, "finish"):
-            return obj
-        if isinstance(obj, Normalizer):
-            return NormalizeStage(obj)
-        if hasattr(obj, "process") and hasattr(obj, "finalize"):
-            return _ScannerStage(obj)
-        if callable(obj):
-            return FunctionStage(obj)
-        raise ParameterError(
-            f"object {obj!r} is not a pipeline stage (needs feed/finish, "
-            "process/finalize, a Normalizer, or a callable)"
-        )
-
-    @property
-    def stage_names(self) -> "list[str]":
-        """Human-readable stage names, in flow order."""
-        return [getattr(stage, "name", type(stage).__name__)
-                for stage in self._stages]
-
-    def feed(self, chunk) -> np.ndarray:
-        """Push one chunk through every stage; return the final output."""
-        out = np.asarray(chunk, dtype=np.float64)
-        for stage in self._stages:
-            out = np.asarray(stage.feed(out), dtype=np.float64)
-        return out
-
-    def finish(self) -> np.ndarray:
-        """Drain every stage in order, cascading tails downstream."""
-        tail = _EMPTY
-        for stage in self._stages:
-            fed = (np.asarray(stage.feed(tail), dtype=np.float64)
-                   if tail.size else _EMPTY)
-            drained = np.asarray(stage.finish(), dtype=np.float64)
-            tail = np.concatenate([fed, drained]) if fed.size else drained
-        return tail
-
-    def run(self, values, chunk_size: int = 4096) -> np.ndarray:
-        """Offline convenience: stream an array through the pipeline."""
-        array = np.asarray(values, dtype=np.float64).ravel()
-        if chunk_size < 1:
-            raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
-        pieces = [self.feed(array[start:start + chunk_size])
-                  for start in range(0, array.size, chunk_size)]
-        pieces.append(self.finish())
-        return np.concatenate(pieces) if pieces else _EMPTY
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Pipeline({' -> '.join(self.stage_names)})"

@@ -25,7 +25,6 @@ jitter without creating spurious major extremes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -179,12 +178,6 @@ class TemperatureSensorGenerator:
         if self.noise_std > 0.0:
             out += self._rng.normal(0.0, self.noise_std, size=n_items)
         return np.clip(out, -0.495, 0.495)
-
-    def iter_values(self, chunk: int = 1024) -> Iterator[float]:
-        """Unbounded value iterator (for streaming-API demonstrations)."""
-        while True:
-            for value in self.generate(chunk):
-                yield float(value)
 
 
 @REGISTRY.register("generator", "gaussian",

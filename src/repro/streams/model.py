@@ -17,7 +17,7 @@ enforces the finite-window discipline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -50,20 +50,6 @@ class StreamMeta:
     def __post_init__(self) -> None:
         if not self.rate_hz > 0:
             raise StreamError(f"rate_hz must be positive, got {self.rate_hz}")
-
-    def resampled(self, degree: float) -> "StreamMeta":
-        """Metadata after a degree-``degree`` rate-reducing transform.
-
-        Sampling or summarization of degree σ turns ``(x[.], ς)`` into
-        ``(x'[.], ς/σ)`` (paper Sec 2.2).
-        """
-        if not degree > 0:
-            raise StreamError(f"transform degree must be positive, got {degree}")
-        return replace(self, rate_hz=self.rate_hz / degree)
-
-    def seconds_for(self, n_items: int) -> float:
-        """Wall-clock seconds covered by ``n_items`` stream values."""
-        return n_items / self.rate_hz
 
 
 def stream_from_array(values, meta: "StreamMeta | None" = None) -> tuple[np.ndarray, StreamMeta]:

@@ -96,11 +96,3 @@ class Normalizer:
         array = np.asarray(values, dtype=np.float64)
         mid = 0.5 * (self.low + self.high)
         return array / self._scale + mid
-
-    def normalize_scalar(self, value: float) -> float:
-        """Scalar convenience wrapper around :meth:`normalize`."""
-        return float(self.normalize(np.asarray([value]))[0])
-
-    def denormalize_scalar(self, value: float) -> float:
-        """Scalar convenience wrapper around :meth:`denormalize`."""
-        return float(self.denormalize(np.asarray([value]))[0])

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.errors import StreamError, WindowOverflowError
+from repro.errors import StreamError
 
 _EMPTY = np.empty(0, dtype=np.float64)
 
@@ -92,10 +92,6 @@ class SlidingWindow:
 
     def __iter__(self) -> Iterator[float]:
         return iter(self.values().tolist())
-
-    def is_full(self) -> bool:
-        """True when a further push must evict."""
-        return self._count >= self._capacity
 
     def values(self) -> np.ndarray:
         """The current window contents as a contiguous float64 array.
@@ -229,24 +225,6 @@ class SlidingWindow:
         """Push a batch; return all evicted items in order."""
         return self.push_chunk(
             np.fromiter(values, dtype=np.float64)).tolist()
-
-    def extend_no_evict(self, values: Iterable[float]) -> None:
-        """Fill the window during warm-up; raises if capacity is exceeded.
-
-        Items are admitted up to capacity before the overflow is raised,
-        mirroring an item-by-item fill.
-        """
-        chunk = np.fromiter(values, dtype=np.float64)
-        room = self._capacity - self._count
-        admitted = chunk[:room]
-        self._make_room(admitted.size)
-        tail = self._head + self._count
-        self._buffer[tail:tail + admitted.size] = admitted
-        self._count += admitted.size
-        if chunk.size > room:
-            raise WindowOverflowError(
-                f"extend_no_evict overflow at capacity {self._capacity}"
-            )
 
     def advance_array(self, n: int) -> np.ndarray:
         """Evict (and return, as a fresh array) the ``n`` oldest items.

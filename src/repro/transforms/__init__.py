@@ -7,30 +7,25 @@ sensor stream — and therefore the transforms a watermark must survive:
 * :mod:`repro.transforms.summarization` — (A1) chunk-averaging, plus the
   paper's future-work aggregates (min / max / median);
 * :mod:`repro.transforms.segmentation` — (A3) finite segment extraction;
-* :mod:`repro.transforms.linear` — (A4) scaling and offset changes;
-* :mod:`repro.transforms.compose` — sequential composition (Fig 10(b)'s
-  combined sampling x summarization experiment).
+* :mod:`repro.transforms.linear` — (A4) scaling and offset changes.
 
 Each transform also registers a *builder* with the central
 :class:`repro.registry.ComponentRegistry` under kind ``"transform"``:
 ``REGISTRY.get("transform", "sample")(degree=4, rng=0)`` returns a
-``values -> values`` callable, which is the currency of
-:class:`Compose`, the streaming :class:`repro.pipeline.Pipeline` and the
-``repro attack`` CLI.
+``values -> values`` callable, which is how
+:class:`repro.attacks.AttackSuite` and the ``repro attack`` CLI resolve
+them by name.
 """
 
 from __future__ import annotations
 
 from repro.registry import REGISTRY
-from repro.transforms.compose import Compose, describe_pipeline
 from repro.transforms.linear import linear_transform
 from repro.transforms.sampling import fixed_random_sampling, uniform_random_sampling
 from repro.transforms.segmentation import random_segment, segment
 from repro.transforms.summarization import summarize
 
 __all__ = [
-    "Compose",
-    "describe_pipeline",
     "linear_transform",
     "fixed_random_sampling",
     "uniform_random_sampling",

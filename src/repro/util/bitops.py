@@ -130,43 +130,3 @@ def read_guarded_bit(x: int, position: int) -> int:
     """Read back a payload bit written by :func:`apply_guarded_bit`."""
     return get_bit(x, position)
 
-
-def replace_lsb(x: int, new_low: int, b: int) -> int:
-    """Return ``x`` with its ``b`` least significant bits replaced.
-
-    Used by the multi-hash and quadratic-residue encodings, which search
-    over the ``alpha`` low-order bits of each subset member while leaving
-    the high-order (selection / label) bits untouched.
-    """
-    if x < 0:
-        raise ParameterError(f"value must be non-negative, got {x}")
-    if b <= 0:
-        raise ParameterError(f"lsb bit count must be positive, got {b}")
-    if new_low.bit_length() > b:
-        raise ParameterError(
-            f"replacement {new_low} does not fit in {b} bits"
-        )
-    mask = (1 << b) - 1
-    return (x & ~mask) | (new_low & mask)
-
-
-def bits_to_int(bits: "list[int] | tuple[int, ...] | str") -> int:
-    """Pack a most-significant-first bit sequence into an int.
-
-    Accepts a list/tuple of 0/1 ints or a string of ``'0'``/``'1'``
-    characters (the label representation used in paper Fig 2, e.g.
-    ``"110100"``).
-    """
-    value = 0
-    for bit in bits:
-        bit_value = int(bit)
-        if bit_value not in (0, 1):
-            raise ParameterError(f"bit sequence contains non-bit {bit!r}")
-        value = (value << 1) | bit_value
-    return value
-
-
-def int_to_bits(x: int, width: int) -> list[int]:
-    """Unpack ``x`` into a most-significant-first list of ``width`` bits."""
-    _check_width(x, width)
-    return [(x >> (width - 1 - i)) & 1 for i in range(width)]

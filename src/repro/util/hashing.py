@@ -167,25 +167,6 @@ class KeyedHasher:
             raise ParameterError(f"modulus must be positive, got {modulus}")
         return self.hash_int(value) % modulus
 
-    def low_bits(self, value: "int | bytes | str", n_bits: int) -> int:
-        """Return the ``n_bits`` least significant bits of ``H(value, key)``.
-
-        This is the ``lsb(H(...), omega)`` operation of the multi-hash
-        bit-encoding convention (paper Sec 4.3).
-        """
-        if n_bits <= 0:
-            raise ParameterError(f"n_bits must be positive, got {n_bits}")
-        return self.hash_int(value) & ((1 << n_bits) - 1)
-
-    def derive(self, purpose: str) -> "KeyedHasher":
-        """Return a domain-separated sub-hasher for an auxiliary purpose.
-
-        Used to keep e.g. the additive-attack distribution fitting and
-        the encoding convention from sharing hash inputs with selection.
-        """
-        sub_key = hashlib.sha256(self.key + purpose.encode("utf-8")).digest()
-        return KeyedHasher(sub_key, self.algorithm)
-
 
 class PatternProber:
     """Batched ``lsb(H(avg_key, label), ω)`` probes with a bounded memo.

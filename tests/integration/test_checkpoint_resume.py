@@ -17,11 +17,8 @@ import pytest
 
 from repro import (
     DetectionSession,
-    Normalizer,
-    Pipeline,
     ProtectionSession,
     StreamHub,
-    TransformStage,
     WatermarkParams,
     detect_watermark,
     watermark_stream,
@@ -186,44 +183,3 @@ class TestRandomSearchResume:
         for sid in streams:
             assert np.array_equal(outputs[1][sid], outputs[None][sid]), sid
 
-
-class TestPipeline:
-    def test_normalize_protect_pipeline_matches_manual(self, stream,
-                                                       session_params):
-        """Physical-unit chunks through [Normalizer -> ProtectionSession]
-        equal normalize-then-watermark done by hand."""
-        celsius = 17.5 + 10.0 * stream
-        normalizer = Normalizer(low=10.0, high=25.0)
-        expected, _ = watermark_stream(normalizer.normalize(celsius),
-                                       WATERMARK, KEY,
-                                       params=session_params)
-
-        pipeline = Pipeline([normalizer,
-                             ProtectionSession(WATERMARK, KEY,
-                                               params=session_params)])
-        out = pipeline.run(celsius, chunk_size=CHUNK)
-        assert np.array_equal(out, expected)
-
-    def test_pipeline_with_transform_and_detector_collects_votes(
-            self, stream, session_params):
-        """An end-to-end adversarial chain: protect -> summarize ->
-        detect, all streaming, votes accumulate toward the payload."""
-        protect = ProtectionSession(WATERMARK, KEY, params=session_params)
-        detect = DetectionSession(len(WATERMARK), KEY,
-                                  params=session_params,
-                                  transform_degree=2.0)
-        pipeline = Pipeline([protect,
-                             TransformStage("summarize", degree=2),
-                             detect])
-        out = pipeline.run(stream, chunk_size=1000)
-        assert len(out) > 0
-        result = detect.result()
-        assert result.bias(0) > 0
-
-    def test_stage_names_are_reportable(self, session_params):
-        pipeline = Pipeline([Normalizer(low=0.0, high=1.0),
-                             TransformStage("sample", degree=2, rng=0),
-                             ProtectionSession("1", KEY,
-                                               params=session_params)])
-        assert pipeline.stage_names == ["normalize", "sample",
-                                        "ProtectionSession"]

@@ -20,6 +20,7 @@ deployment shape (client code has no asyncio in sight).
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import os
 import threading
 import time
@@ -63,8 +64,14 @@ class RawPeer:
         self.channel = channel
 
     @classmethod
-    async def connect(cls, host, port) -> "RawPeer":
-        return cls(await TcpTransport().connect(host, port))
+    @contextlib.asynccontextmanager
+    async def connect(cls, host, port):
+        """Dial ``host:port``; the socket closes when the block ends."""
+        channel = await TcpTransport().connect(host, port)
+        try:
+            yield cls(channel)
+        finally:
+            await channel.close()
 
     async def send(self, frame: dict) -> None:
         await self.channel.write_message(protocol.CODEC.encode(frame))
@@ -299,27 +306,27 @@ class TestCrashRecovery:
         host, port = harness.service.address
 
         async def push_then_vanish():
-            peer = await RawPeer.connect(host, port)
-            await peer.hello()
-            await peer.send({
-                "type": "open", "stream_id": "lossy",
-                "kind": "protection", "key": protocol.encode_key(KEY),
-                "watermark": "1",
-                "params": _params_dict()})
-            await peer.read()  # open result
-            await peer.read()  # credit grant
-            await peer.send({
-                "type": "push", "stream_id": "lossy", "seq": 0,
-                "delivered": 0, "values": values[:1000]})
-            out0 = (await peer.read())["values"]
-            await peer.read()  # credit
-            # Second push acknowledges the first result; its own result
-            # is never read — the crash eats it.
-            await peer.send({
-                "type": "push", "stream_id": "lossy", "seq": 1,
-                "delivered": int(out0.size), "values": values[1000:]})
-            await asyncio.sleep(0.3)  # let the server process + ckpt
-            return out0
+            async with RawPeer.connect(host, port) as peer:
+                await peer.hello()
+                await peer.send({
+                    "type": "open", "stream_id": "lossy",
+                    "kind": "protection", "key": protocol.encode_key(KEY),
+                    "watermark": "1",
+                    "params": _params_dict()})
+                await peer.read()  # open result
+                await peer.read()  # credit grant
+                await peer.send({
+                    "type": "push", "stream_id": "lossy", "seq": 0,
+                    "delivered": 0, "values": values[:1000]})
+                out0 = (await peer.read())["values"]
+                await peer.read()  # credit
+                # Second push acknowledges the first result; its own result
+                # is never read — the crash eats it.
+                await peer.send({
+                    "type": "push", "stream_id": "lossy", "seq": 1,
+                    "delivered": int(out0.size), "values": values[1000:]})
+                await asyncio.sleep(0.3)  # let the server process + ckpt
+                return out0
 
         out0 = asyncio.run(asyncio.wait_for(push_then_vanish(), 15))
         harness.crash()
@@ -327,23 +334,23 @@ class TestCrashRecovery:
         host, port = harness.service.address
 
         async def resume_and_collect(delivered):
-            peer = await RawPeer.connect(host, port)
-            await peer.hello()
-            await peer.send({
-                "type": "open", "stream_id": "lossy",
-                "kind": "protection", "key": protocol.encode_key(KEY),
-                "watermark": "1", "resume": True,
-                "delivered": delivered,
-                "params": _params_dict()})
-            opened = await peer.read()
-            await peer.read()  # credit grant
-            assert opened["items_in"] == 2000  # checkpointed past push 2
-            replay = opened["values"]
-            await peer.send({
-                "type": "flush", "stream_id": "lossy",
-                "delivered": delivered + int(replay.size)})
-            tail = (await peer.read())["values"]
-            return replay, tail
+            async with RawPeer.connect(host, port) as peer:
+                await peer.hello()
+                await peer.send({
+                    "type": "open", "stream_id": "lossy",
+                    "kind": "protection", "key": protocol.encode_key(KEY),
+                    "watermark": "1", "resume": True,
+                    "delivered": delivered,
+                    "params": _params_dict()})
+                opened = await peer.read()
+                await peer.read()  # credit grant
+                assert opened["items_in"] == 2000  # checkpointed past push 2
+                replay = opened["values"]
+                await peer.send({
+                    "type": "flush", "stream_id": "lossy",
+                    "delivered": delivered + int(replay.size)})
+                tail = (await peer.read())["values"]
+                return replay, tail
 
         replay, tail = asyncio.run(
             asyncio.wait_for(resume_and_collect(int(out0.size)), 15))
@@ -526,26 +533,26 @@ class TestFlowControlAndErrors:
         service = harness.service
 
         async def overpush():
-            peer = await RawPeer.connect(host, port)
-            hello = await peer.hello()
-            assert hello["credits"] == 3
-            await peer.send({
-                "type": "open", "stream_id": "greedy",
-                "kind": "protection", "key": protocol.encode_key(KEY),
-                "watermark": "1"})
-            frames = [await peer.read()
-                      for _ in range(2)]  # open result + credit grant
-            assert {frame["type"] for frame in frames} \
-                == {"result", "credit"}
-            (connection,) = service._connections
-            connection.credits["greedy"] = 0  # window exhausted
-            await peer.send({
-                "type": "push", "stream_id": "greedy", "seq": 0,
-                "values": np.zeros(4)})
-            while True:
-                frame = await peer.read()
-                if frame["type"] == "error":
-                    return frame
+            async with RawPeer.connect(host, port) as peer:
+                hello = await peer.hello()
+                assert hello["credits"] == 3
+                await peer.send({
+                    "type": "open", "stream_id": "greedy",
+                    "kind": "protection", "key": protocol.encode_key(KEY),
+                    "watermark": "1"})
+                frames = [await peer.read()
+                          for _ in range(2)]  # open result + credit grant
+                assert {frame["type"] for frame in frames} \
+                    == {"result", "credit"}
+                (connection,) = service._connections
+                connection.credits["greedy"] = 0  # window exhausted
+                await peer.send({
+                    "type": "push", "stream_id": "greedy", "seq": 0,
+                    "values": np.zeros(4)})
+                while True:
+                    frame = await peer.read()
+                    if frame["type"] == "error":
+                        return frame
 
         error = asyncio.run(asyncio.wait_for(overpush(), 15))
         assert error["code"] == "flow"
@@ -590,14 +597,14 @@ class TestFlowControlAndErrors:
         client.close()
 
         async def steal():
-            peer = await RawPeer.connect(host, port)
-            await peer.hello()
-            await peer.send({
-                "type": "open", "stream_id": "keyed",
-                "kind": "protection",
-                "key": protocol.encode_key(b"wrong-key"),
-                "watermark": "1", "resume": True})
-            return await peer.read()
+            async with RawPeer.connect(host, port) as peer:
+                await peer.hello()
+                await peer.send({
+                    "type": "open", "stream_id": "keyed",
+                    "kind": "protection",
+                    "key": protocol.encode_key(b"wrong-key"),
+                    "watermark": "1", "resume": True})
+                return await peer.read()
 
         frame = asyncio.run(asyncio.wait_for(steal(), 15))
         assert frame["type"] == "error"
@@ -620,9 +627,9 @@ class TestFlowControlAndErrors:
         host, port = harness.service.address
 
         async def bad_hello():
-            peer = await RawPeer.connect(host, port)
-            await peer.send({"type": "hello", "version": 999})
-            return await peer.read()
+            async with RawPeer.connect(host, port) as peer:
+                await peer.send({"type": "hello", "version": 999})
+                return await peer.read()
 
         frame = asyncio.run(asyncio.wait_for(bad_hello(), 15))
         assert frame["type"] == "error"
@@ -635,11 +642,11 @@ class TestFlowControlAndErrors:
         host, port = harness.service.address
 
         async def json_hello():
-            peer = await RawPeer.connect(host, port)
-            await peer.channel.write_message(
-                b'{"type":"hello","version":1}')
-            refusal = await peer.read()
-            return refusal, await peer.channel.read_message()
+            async with RawPeer.connect(host, port) as peer:
+                await peer.channel.write_message(
+                    b'{"type":"hello","version":1}')
+                refusal = await peer.read()
+                return refusal, await peer.channel.read_message()
 
         frame, after = asyncio.run(asyncio.wait_for(json_hello(), 15))
         assert frame["type"] == "error"
@@ -706,21 +713,21 @@ class TestObservability:
             session.feed(values)
 
             async def status_racing_drain():
-                peer = await RawPeer.connect(host, port)
-                await peer.hello()
-                drain = asyncio.ensure_future(
-                    harness.service.drain("sigterm"))
-                # The drain is now racing our request down the same
-                # connection; the grace window must cover it.
-                await peer.send({"type": "status"})
-                frames = []
-                while True:
-                    frame = await peer.read()
-                    frames.append(frame)
-                    if frame["type"] == "bye":
-                        break
-                await drain
-                return frames
+                async with RawPeer.connect(host, port) as peer:
+                    await peer.hello()
+                    drain = asyncio.ensure_future(
+                        harness.service.drain("sigterm"))
+                    # The drain is now racing our request down the same
+                    # connection; the grace window must cover it.
+                    await peer.send({"type": "status"})
+                    frames = []
+                    while True:
+                        frame = await peer.read()
+                        frames.append(frame)
+                        if frame["type"] == "bye":
+                            break
+                    await drain
+                    return frames
 
             frames = harness._call(
                 asyncio.wait_for(status_racing_drain(), 20))
@@ -787,27 +794,25 @@ class TestDrainGrace:
     when the drain starts still gets the grace window, then says BYE."""
 
     @staticmethod
-    async def _opened_peer(host, port, stream_id) -> RawPeer:
-        peer = await RawPeer.connect(host, port)
+    async def _open(peer: RawPeer, stream_id) -> None:
         await peer.hello()
         await peer.send(_open_frame(stream_id))
         assert (await peer.read())["op"] == "open"
         assert (await peer.read())["type"] == "credit"
-        return peer
 
     def test_idle_client_gets_bye_within_grace(self, harness):
         host, port = harness.service.address
 
         async def idle_through_drain():
-            peer = await self._opened_peer(host, port, "idle")
-            loop = asyncio.get_running_loop()
-            started = loop.time()
-            drain = asyncio.ensure_future(harness.service.drain())
-            frame = await peer.read()
-            waited = loop.time() - started
-            await drain
-            await peer.channel.close()
-            return frame, waited
+            async with RawPeer.connect(host, port) as peer:
+                await self._open(peer, "idle")
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+                drain = asyncio.ensure_future(harness.service.drain())
+                frame = await peer.read()
+                waited = loop.time() - started
+                await drain
+                return frame, waited
 
         frame, waited = harness._call(idle_through_drain())
         assert frame == {"type": "bye", "reason": "drain"}
@@ -820,17 +825,18 @@ class TestDrainGrace:
         host, port = harness.service.address
 
         async def push_during_drain():
-            peer = await self._opened_peer(host, port, "late")
-            drain = asyncio.ensure_future(harness.service.drain())
-            await asyncio.sleep(DRAIN_GRACE_SECONDS / 5)
-            await peer.send({"type": "push", "stream_id": "late",
-                             "seq": 0, "delivered": 0, "values": values})
-            frames = []
-            while not frames or frames[-1]["type"] != "bye":
-                frames.append(await peer.read())
-            await drain
-            await peer.channel.close()
-            return frames
+            async with RawPeer.connect(host, port) as peer:
+                await self._open(peer, "late")
+                drain = asyncio.ensure_future(harness.service.drain())
+                await asyncio.sleep(DRAIN_GRACE_SECONDS / 5)
+                await peer.send({"type": "push", "stream_id": "late",
+                                 "seq": 0, "delivered": 0,
+                                 "values": values})
+                frames = []
+                while not frames or frames[-1]["type"] != "bye":
+                    frames.append(await peer.read())
+                await drain
+                return frames
 
         frames = harness._call(push_during_drain())
         assert [frame["type"] for frame in frames] \

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro import detect_watermark
-from repro.transforms.compose import Compose
 from repro.transforms.linear import linear_transform
 from repro.transforms.sampling import fixed_random_sampling, uniform_random_sampling
 from repro.transforms.segmentation import segment
@@ -94,11 +93,7 @@ class TestCombinedTransforms:
     def test_fig10b_sampling_plus_summarization(self, marked_reference,
                                                 params):
         marked, _ = marked_reference
-        pipeline = Compose([
-            ("sampling-2", lambda v: uniform_random_sampling(v, 2, rng=0)),
-            ("summarization-2", lambda v: summarize(v, 2)),
-        ])
-        attacked = pipeline(marked)
+        attacked = summarize(uniform_random_sampling(marked, 2, rng=0), 2)
         result = detect_watermark(attacked, 1, KEY, params=params,
                                   transform_degree=4.0)
         # Random sampling destroys original adjacency before averaging,

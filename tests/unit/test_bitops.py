@@ -121,31 +121,3 @@ class TestGuardedBit:
         average = (a + b) // 2
         assert bitops.read_guarded_bit(average, pos) == int(bit)
 
-
-class TestReplaceLsb:
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**12 - 1))
-    def test_replaces_low_preserves_high(self, x, new_low):
-        y = bitops.replace_lsb(x, new_low, 12)
-        assert bitops.lsb(y, 12) == new_low
-        assert y >> 12 == x >> 12
-
-    def test_rejects_oversized_replacement(self):
-        with pytest.raises(ParameterError):
-            bitops.replace_lsb(0, 16, 4)
-
-
-class TestBitListConversions:
-    def test_bits_to_int_from_string(self):
-        # The label of extreme K in paper Fig 2(a).
-        assert bitops.bits_to_int("110100") == 0b110100
-
-    def test_bits_to_int_from_list(self):
-        assert bitops.bits_to_int([1, 0, 1]) == 5
-
-    def test_rejects_non_bits(self):
-        with pytest.raises(ParameterError):
-            bitops.bits_to_int("102")
-
-    @given(st.integers(0, 2**16 - 1))
-    def test_int_bits_roundtrip(self, x):
-        assert bitops.bits_to_int(bitops.int_to_bits(x, 16)) == x

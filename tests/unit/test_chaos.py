@@ -276,13 +276,6 @@ class TestRetryPolicy:
         with pytest.raises(ParameterError, match=field):
             RetryPolicy(**{field: 0})
 
-    def test_with_attempts_copies_shape(self):
-        policy = RetryPolicy(base_delay=0.2, deadline=7.0)
-        bumped = policy.with_attempts(3)
-        assert bumped.attempts == 3
-        assert bumped.base_delay == 0.2
-        assert bumped.deadline == 7.0
-
     @pytest.mark.parametrize("error", [
         ConnectionResetError("peer died"),
         BrokenPipeError("mid-feed"),
@@ -363,6 +356,20 @@ class TestChaosCheckpointStore:
         assert inner.entry("s")["state"]["n"] == 2  # truth underneath
         # Sequence numbering sees the inner truth, not the stale view.
         assert store.save("s", dict(STATE, n=3)) == 3
+
+    def test_no_shadow_read_without_stale_reads(self, tmp_path,
+                                                monkeypatch):
+        """A plan that never serves a stale read keeps no shadow: each
+        save reads the inner entry once, for its sequence number."""
+        inner = DirectoryCheckpointStore(tmp_path)
+        reads = []
+        real_get = inner._get
+        monkeypatch.setattr(inner, "_get",
+                            lambda sid: reads.append(sid) or real_get(sid))
+        store = self._store(5, inner, torn_write_rate=1e-4)
+        for n in range(1, 101):
+            assert store.save("s", dict(STATE, n=n)) == n
+        assert len(reads) <= 100
 
     def test_stale_read_without_history_serves_latest(self):
         store = self._store(3, MemoryCheckpointStore(),
@@ -516,6 +523,7 @@ class TestInstall:
                 message = await connection.read_message()
                 seen.append(message)
                 await connection.write_message(b"echo:" + message)
+                await connection.close()
 
             listener = await server.serve("127.0.0.1", 0, handler)
             host, port = listener.address

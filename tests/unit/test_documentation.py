@@ -16,7 +16,7 @@ import repro
 
 PACKAGES = ["repro", "repro.core", "repro.streams", "repro.transforms",
             "repro.attacks", "repro.analysis", "repro.experiments",
-            "repro.util", "repro.server"]
+            "repro.util", "repro.server", "repro.chaos", "repro.obs"]
 
 
 def iter_modules() -> list[str]:

@@ -82,15 +82,6 @@ class TestZigzag:
             streamed.extend(pivots)
         assert streamed == whole
 
-    def test_after_extreme_state_resumes_descent(self):
-        """Resuming after a max must not re-report a boundary max."""
-        wave = triangle_wave(n_periods=1, half=20)
-        # Simulate having just processed the max at index 19.
-        state = ZigzagState.after_extreme(MAXIMUM, 20, float(wave[20]))
-        pivots, _ = zigzag_pivots(wave[20:], prominence=0.1, state=state,
-                                  offset=20)
-        assert all(k == MINIMUM or i > 20 for i, k in pivots)
-
 
 class TestCharacteristicSubset:
     def test_expands_within_delta(self):

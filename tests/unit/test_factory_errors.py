@@ -20,7 +20,6 @@ from repro.errors import (
     QualityConstraintViolated,
     ReproError,
     StreamError,
-    WindowOverflowError,
 )
 from repro.util.hashing import KeyedHasher
 
@@ -68,9 +67,8 @@ class TestFactory:
 
 class TestExceptionHierarchy:
     @pytest.mark.parametrize("exc", [
-        ParameterError, StreamError, WindowOverflowError,
-        NormalizationError, EncodingError, EncodingSearchExhausted,
-        DetectionError, KeyError_,
+        ParameterError, StreamError, NormalizationError, EncodingError,
+        EncodingSearchExhausted, DetectionError, KeyError_,
     ])
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, ReproError)
@@ -79,9 +77,6 @@ class TestExceptionHierarchy:
         assert issubclass(ParameterError, ValueError)
         assert issubclass(NormalizationError, ValueError)
         assert issubclass(KeyError_, ValueError)
-
-    def test_window_overflow_is_stream_error(self):
-        assert issubclass(WindowOverflowError, StreamError)
 
     def test_search_exhausted_is_encoding_error(self):
         assert issubclass(EncodingSearchExhausted, EncodingError)

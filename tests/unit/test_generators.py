@@ -43,12 +43,6 @@ class TestTemperatureSensor:
         measured = estimate_eta(values, prominence=0.05, delta=0.02, sigma=3)
         assert eta / 3.0 <= measured <= eta * 3.0
 
-    def test_iter_values_matches_chunks(self):
-        generator = TemperatureSensorGenerator(seed=3)
-        stream = generator.iter_values(chunk=64)
-        first = [next(stream) for _ in range(10)]
-        assert all(isinstance(v, float) for v in first)
-
     @pytest.mark.parametrize("kwargs", [
         {"eta": 2},
         {"extreme_scale": 0.0},

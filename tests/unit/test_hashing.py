@@ -131,30 +131,9 @@ class TestKeyedHasher:
         with pytest.raises(ParameterError):
             KeyedHasher(b"k").mod(1, 0)
 
-    def test_low_bits_width(self):
-        hasher = KeyedHasher(b"k1")
-        for value in range(50):
-            assert 0 <= hasher.low_bits(value, 3) < 8
-
-    def test_low_bits_roughly_uniform(self):
-        """Diffusion: with omega=1 about half the hashes end in 1."""
-        hasher = KeyedHasher(b"k1")
-        ones = sum(hasher.low_bits(v, 1) for v in range(2000))
-        assert 850 < ones < 1150
-
     def test_matches_module_level_h(self):
         hasher = KeyedHasher(b"k1")
         assert hasher.hash_int(99) == H(99, b"k1")
-
-    def test_derive_changes_outputs(self):
-        hasher = KeyedHasher(b"k1")
-        derived = hasher.derive("other-purpose")
-        assert hasher.hash_int(5) != derived.hash_int(5)
-
-    def test_derive_is_deterministic(self):
-        a = KeyedHasher(b"k1").derive("p")
-        b = KeyedHasher(b"k1").derive("p")
-        assert a.hash_int(5) == b.hash_int(5)
 
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ParameterError):

@@ -5,11 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.metrics import (
-    label_alteration_fraction,
-    major_extreme_labels,
-    stream_stat_drift,
-)
+from repro.analysis.metrics import labeled_major_extremes, stream_stat_drift
 from repro.core.degree import adjusted_sigma, degree_from_rates, estimate_degree
 from repro.core.extremes import average_subset_size
 from repro.core.params import WatermarkParams
@@ -88,28 +84,11 @@ class TestAdjustedSigma:
 
 
 class TestLabelMetrics:
-    def test_identical_streams_zero_alteration(self, stream):
-        labels = major_extreme_labels(stream, PARAMS)
-        assert label_alteration_fraction(labels, labels) == 0.0
-
-    def test_warmup_nones_skipped(self):
-        labels_a = [None, None, 5, 6]
-        labels_b = [None, None, 5, 7]
-        assert label_alteration_fraction(labels_a, labels_b) == 0.5
-
-    def test_missing_counterpart_counts_as_altered(self):
-        labels_a = [None, 3, 4, 5]
-        labels_b = [None, 3]
-        assert label_alteration_fraction(labels_a, labels_b) == \
-            pytest.approx(2 / 3)
-
-    def test_empty_original_rejected(self):
-        with pytest.raises(ParameterError):
-            label_alteration_fraction([], [])
-
     def test_label_size_override(self, stream):
-        short = major_extreme_labels(stream, PARAMS, lambda_bits=5)
-        long = major_extreme_labels(stream, PARAMS, lambda_bits=20)
+        short = [label for _, label in
+                 labeled_major_extremes(stream, PARAMS, lambda_bits=5)]
+        long = [label for _, label in
+                labeled_major_extremes(stream, PARAMS, lambda_bits=20)]
         defined_short = [x for x in short if x is not None]
         defined_long = [x for x in long if x is not None]
         assert defined_short and defined_long

@@ -43,11 +43,6 @@ class TestMapping:
         assert out[0] == pytest.approx(-0.49, abs=1e-9)
         assert out[1] == pytest.approx(0.49, abs=1e-9)
 
-    @given(st.floats(0.1, 30.0))
-    def test_scalar_roundtrip(self, v):
-        n = Normalizer(low=0.0, high=35.0)
-        assert n.denormalize_scalar(n.normalize_scalar(v)) == pytest.approx(v)
-
     def test_array_roundtrip(self):
         n = Normalizer(low=-3.0, high=7.0)
         values = np.linspace(-3.0, 7.0, 313)

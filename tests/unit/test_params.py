@@ -90,14 +90,6 @@ class TestDerived:
         params = WatermarkParams(value_bits=32, lsb_bits=16)
         assert params.max_alteration == pytest.approx(2.0 ** -16)
 
-    def test_selection_fraction(self):
-        params = WatermarkParams(phi=8)
-        assert params.selection_fraction(1) == pytest.approx(1 / 8)
-        assert params.selection_fraction(4) == pytest.approx(0.5)
-
-    def test_selection_fraction_capped_at_one(self):
-        assert WatermarkParams(phi=2).selection_fraction(10) == 1.0
-
     def test_validate_for_watermark(self):
         params = WatermarkParams(phi=8)
         params.validate_for_watermark(4)  # phi > b(wm): fine

@@ -52,7 +52,7 @@ class TestRoundTrips:
     @given(normalized)
     def test_dequantize_error_below_resolution(self, v):
         q = Quantizer(32)
-        assert abs(q.requantize(v) - v) <= q.resolution
+        assert abs(q.dequantize(q.quantize(v)) - v) <= q.resolution
 
     @given(normalized, normalized)
     def test_quantization_is_monotone(self, a, b):

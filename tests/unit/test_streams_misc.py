@@ -25,17 +25,6 @@ class TestStreamMeta:
         with pytest.raises(StreamError):
             StreamMeta(rate_hz=0.0)
 
-    def test_resampled_divides_rate(self):
-        meta = StreamMeta(rate_hz=100.0)
-        assert meta.resampled(4).rate_hz == 25.0
-
-    def test_resampled_validation(self):
-        with pytest.raises(StreamError):
-            StreamMeta().resampled(0)
-
-    def test_seconds_for(self):
-        assert StreamMeta(rate_hz=100.0).seconds_for(500) == 5.0
-
 
 class TestChunked:
     def test_chunks_cover_source(self):

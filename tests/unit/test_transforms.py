@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
-from repro.transforms.compose import Compose, describe_pipeline
 from repro.transforms.linear import linear_transform
 from repro.transforms.sampling import fixed_random_sampling, uniform_random_sampling
 from repro.transforms.segmentation import random_segment, segment
@@ -135,29 +134,3 @@ class TestLinear:
         with pytest.raises(ParameterError):
             linear_transform([1.0], scale=float("inf"))
 
-
-class TestCompose:
-    def test_left_to_right_application(self):
-        pipeline = Compose([
-            ("scale", lambda v: v * 2.0),
-            ("shift", lambda v: v + 1.0),
-        ])
-        assert pipeline(np.asarray([1.0])).tolist() == [3.0]
-
-    def test_describe(self):
-        pipeline = Compose([("a", lambda v: v), ("b", lambda v: v)])
-        assert describe_pipeline(pipeline) == "a -> b"
-
-    def test_fig10b_combination_shapes(self):
-        """25% sampling then 25% summarization: length shrinks ~16x."""
-        values = np.linspace(-0.4, 0.4, 1600)
-        pipeline = Compose([
-            ("sampling-4", lambda v: uniform_random_sampling(v, 4, rng=0)),
-            ("summarization-4", lambda v: summarize(v, 4)),
-        ])
-        out = pipeline(values)
-        assert len(out) == 100
-
-    def test_empty_pipeline_rejected(self):
-        with pytest.raises(ParameterError):
-            Compose([])

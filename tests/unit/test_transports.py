@@ -38,6 +38,17 @@ def run(coro):
     return asyncio.run(asyncio.wait_for(coro, 15))
 
 
+def closing(handler):
+    """A raw ``start_server`` handler that closes its socket however it
+    ends, so no scripted peer outlives its test."""
+    async def wrapped(reader, writer):
+        try:
+            await handler(reader, writer)
+        finally:
+            writer.close()
+    return wrapped
+
+
 def ws_frame(opcode: int, payload: bytes = b"", *, fin: bool = True,
              rsv: int = 0, mask: "bytes | None" = None) -> bytes:
     """Hand-rolled RFC 6455 frame so tests control every bit."""
@@ -209,7 +220,8 @@ class TestTcpChannel:
                 writer.write(struct.pack(">I", 2 ** 31) + b"xx")
                 await writer.drain()
 
-            server = await asyncio.start_server(hostile, "127.0.0.1", 0)
+            server = await asyncio.start_server(closing(hostile),
+                                                "127.0.0.1", 0)
             host, port = server.sockets[0].getsockname()[:2]
             connection = await TcpTransport().connect(host, port,
                                                       max_bytes=1 << 20)
@@ -489,7 +501,8 @@ class TestWebSocketChannel:
                              b"Content-Length: 0\r\n\r\n")
                 await writer.drain()
 
-            server = await asyncio.start_server(refuse, "127.0.0.1", 0)
+            server = await asyncio.start_server(closing(refuse),
+                                                "127.0.0.1", 0)
             host, port = server.sockets[0].getsockname()[:2]
             try:
                 with pytest.raises(ProtocolError, match="refused"):
@@ -509,7 +522,8 @@ class TestWebSocketChannel:
                              b"Sec-WebSocket-Accept: bm9wZQ==\r\n\r\n")
                 await writer.drain()
 
-            server = await asyncio.start_server(lie, "127.0.0.1", 0)
+            server = await asyncio.start_server(closing(lie),
+                                                "127.0.0.1", 0)
             host, port = server.sockets[0].getsockname()[:2]
             try:
                 with pytest.raises(ProtocolError, match="Accept"):
@@ -529,7 +543,8 @@ class TestWebSocketChannel:
                 writer.write(b"X-Filler: " + b"a" * (32 * 1024) + b"\r\n")
                 await writer.drain()
 
-            server = await asyncio.start_server(flood, "127.0.0.1", 0)
+            server = await asyncio.start_server(closing(flood),
+                                                "127.0.0.1", 0)
             host, port = server.sockets[0].getsockname()[:2]
             try:
                 with pytest.raises(ProtocolError, match="exceeds"):

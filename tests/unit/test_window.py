@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import StreamError, WindowOverflowError
+from repro.errors import StreamError
 from repro.streams.window import SlidingWindow
 
 
@@ -59,11 +59,6 @@ class TestBasics:
         w.push_many([1.0, 2.0])
         assert w.flush() == [1.0, 2.0]
         assert len(w) == 0
-
-    def test_extend_no_evict_overflow(self):
-        w = SlidingWindow(2)
-        with pytest.raises(WindowOverflowError):
-            w.extend_no_evict([1.0, 2.0, 3.0])
 
     def test_push_chunk_returns_evictions_in_order(self):
         w = SlidingWindow(3)
