@@ -300,17 +300,13 @@ def test_chaos_soak(tmp_path):
     try:
         assert serving.wait(timeout=30) and supervisor.poll() is None, \
             "".join(lines)
-        chaos.install(plan, inner="tcp", side="client")
-        try:
-            summary = run_loadgen(
-                workers=3, pushes=12, chunk=128, crash_every=4,
-                host="127.0.0.1", port=port, transport="chaos",
-                verify_bits=True,
-                retry=chaos.RetryPolicy(attempts=200, base_delay=0.02,
-                                        max_delay=0.25, deadline=120.0,
-                                        op_timeout=15.0))
-        finally:
-            chaos.uninstall()
+        summary = run_loadgen(
+            workers=3, pushes=12, chunk=128, crash_every=4,
+            host="127.0.0.1", port=port, verify_bits=True,
+            retry=chaos.RetryPolicy(attempts=200, base_delay=0.02,
+                                    max_delay=0.25, deadline=120.0,
+                                    op_timeout=15.0),
+            fault_injector=chaos.FaultInjector(plan))
     finally:
         supervisor.send_signal(signal.SIGTERM)
         try:

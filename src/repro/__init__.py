@@ -17,7 +17,7 @@ The public API has two layers:
   after a crash; :mod:`repro.server` serves hubs over TCP (``repro
   serve``) with a framed protocol, credit-based flow control and a
   reconnect-and-resume client SDK; every pluggable component
-  (encodings, transforms, attacks, generators, stores) resolves by
+  (encodings, transforms, attacks, generators, transports) resolves by
   name through the central :data:`REGISTRY`.
 * **Offline conveniences** (paper-experiment face):
   :func:`watermark_stream`, :func:`detect_watermark` and
@@ -95,7 +95,6 @@ from repro.stores import (
     CheckpointStore,
     DirectoryCheckpointStore,
     MemoryCheckpointStore,
-    build_store,
 )
 from repro.streams.normalize import Normalizer
 from repro.util.hashing import KeyedHasher
@@ -143,7 +142,6 @@ __all__ = [
     "CheckpointStore",
     "DirectoryCheckpointStore",
     "MemoryCheckpointStore",
-    "build_store",
     "REGISTRY",
     "ComponentRegistry",
     "Normalizer",

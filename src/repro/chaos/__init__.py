@@ -6,10 +6,9 @@ Everything needed to make failure a routine, *replayable* event:
   schedule whose every decision comes from named, seeded PRNG streams
   (:mod:`repro.chaos.plan`);
 * :class:`ChaosTransport` / :class:`ChaosChannel` /
-  :class:`ChaosCheckpointStore` — registry-compatible wrappers that
-  inject the plan's faults into any transport or store
-  (:mod:`repro.chaos.wrappers`); :func:`install` activates a plan for
-  ``--transport chaos``;
+  :class:`ChaosCheckpointStore` — wrappers that inject the plan's
+  faults into any transport or store (:mod:`repro.chaos.wrappers`),
+  armed by the ``fault_injector`` of the service and of the client SDK;
 * :class:`RetryPolicy` — backoff/jitter/deadline/classification used by
   the client SDK's reconnect machinery (:mod:`repro.chaos.retry`);
 * :class:`Supervisor` — the ``repro supervise`` restart loop with a
@@ -24,15 +23,12 @@ from repro.chaos.plan import (
     StoreFaults,
     TransportFaults,
 )
-from repro.chaos.retry import RetryPolicy, is_retryable
+from repro.chaos.retry import RetryPolicy
 from repro.chaos.supervisor import GIVE_UP_EXIT, Supervisor, supervise_serve
 from repro.chaos.wrappers import (
     ChaosChannel,
     ChaosCheckpointStore,
     ChaosTransport,
-    install,
-    installed,
-    uninstall,
 )
 
 __all__ = [
@@ -43,14 +39,10 @@ __all__ = [
     "StoreFaults",
     "TransportFaults",
     "RetryPolicy",
-    "is_retryable",
     "GIVE_UP_EXIT",
     "Supervisor",
     "supervise_serve",
     "ChaosChannel",
     "ChaosCheckpointStore",
     "ChaosTransport",
-    "install",
-    "installed",
-    "uninstall",
 ]

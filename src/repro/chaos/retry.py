@@ -10,12 +10,12 @@ clock budget (``deadline``) after which the client stops trying and
 surfaces the failure.
 
 The second half of the policy is **classification**: which errors are
-worth retrying at all.  Connection-level failures (resets, refused
-dials, EOF, timeouts) are transient — the server may be mid-restart —
-so they retry.  Semantic failures are not: a wrong key, a server-side
-:class:`~repro.errors.RemoteError`, or a protocol violation on a
-healthy link means retrying would only repeat the same rejection, so
-they fail fast.
+worth retrying at all (:data:`RETRYABLE_ERRORS`).  Connection-level
+failures (resets, refused dials, EOF, timeouts) are transient — the
+server may be mid-restart — so they retry.  Semantic failures are not:
+a wrong key, a server-side :class:`~repro.errors.RemoteError`, or a
+protocol violation on a healthy link means retrying would only repeat
+the same rejection, so they fail fast.
 """
 
 from __future__ import annotations
@@ -24,23 +24,14 @@ import asyncio
 import dataclasses
 import random
 
-from repro.errors import ParameterError, ProtocolError, RemoteError
+from repro.errors import ParameterError
 
-#: Transient transport-level failures: retrying may succeed.
+#: Transient transport-level failures: the connection is gone, and a
+#: redial may succeed.  Anything else (a RemoteError the server sent, a
+#: ProtocolError on a healthy link) fails fast.  ``asyncio.TimeoutError``
+#: is its own class before Python 3.11.
 RETRYABLE_ERRORS = (ConnectionError, OSError, EOFError, TimeoutError,
                     asyncio.TimeoutError, asyncio.IncompleteReadError)
-
-#: Semantic failures: retrying repeats the same rejection, fail fast.
-#: (Wrong-key and state errors arrive as RemoteError; a protocol
-#: violation on a healthy link is a bug, not weather.)
-FATAL_ERRORS = (RemoteError, ProtocolError, ParameterError)
-
-
-def is_retryable(error: BaseException) -> bool:
-    """Classify one error: ``True`` = transient, worth another attempt."""
-    if isinstance(error, FATAL_ERRORS):
-        return False
-    return isinstance(error, RETRYABLE_ERRORS)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Each wrapper delegates to a real component and consults a
 :class:`~repro.chaos.plan.FaultInjector` before (or instead of) every
 operation.  The wrapped component is untouched — chaos is a layer, not
-a fork — so every transport or store registered in
-:data:`repro.registry.REGISTRY` can run under fault injection:
+a fork — so every transport and every checkpoint store can run under
+fault injection:
 
 * :class:`ChaosChannel` / :class:`ChaosTransport` — per-message latency,
   stalls, drops, mid-frame truncation (a *valid* transport message
@@ -14,22 +14,19 @@ a fork — so every transport or store registered in
   durably stored, then the save fails), transient EIO, and stale reads
   (the previous entry is served instead of the latest).
 
-:func:`install` activates a plan process-wide and registers the
-``chaos`` transport name, so ``--transport chaos`` works everywhere a
-transport name is accepted (client SDK, ``repro loadgen``).
+Both ends of the serving stack take one injector:
+``StreamService(fault_injector=...)`` wraps its listener and stores,
+``AsyncRemoteClient(fault_injector=...)`` its dials.
 """
 
 from __future__ import annotations
 
 import asyncio
 
-from repro.chaos.plan import FaultInjector, FaultPlan, StoreFaults, \
-    TransportFaults
-from repro.errors import CheckpointStoreError, ReproError
-from repro.registry import REGISTRY
+from repro.chaos.plan import FaultInjector, StoreFaults, TransportFaults
+from repro.errors import CheckpointStoreError
 from repro.server.protocol import MAX_FRAME_BYTES
-from repro.server.transports import Listener, Transport, \
-    TransportConnection, build_transport
+from repro.server.transports import Listener, Transport, TransportConnection
 from repro.stores import CheckpointStore
 
 
@@ -175,34 +172,17 @@ def _wake(waiter: "asyncio.Future") -> None:
         waiter.set_result(None)
 
 
-#: Module-level active chaos configuration, set by :func:`install`.
-_ACTIVE: "dict | None" = None
-
-
-@REGISTRY.register("transport", "chaos",
-                   description="fault-injecting wrapper around another "
-                               "transport (repro.chaos.install)")
 class ChaosTransport(Transport):
-    """A registered transport that wraps another one with fault injection.
+    """A transport that wraps another one with fault injection.
 
-    Constructed explicitly (``ChaosTransport(inner=..., injector=...)``)
-    or resolved by name — ``build_transport("chaos")`` — after
-    :func:`install` has activated a plan process-wide.
+    ``side`` picks the plan's fault set: ``"server"`` wraps a listener
+    (:class:`~repro.server.service.StreamService`'s ``fault_injector``),
+    ``"client"`` wraps dials (:class:`~repro.server.client.
+    AsyncRemoteClient`'s ``fault_injector``).
     """
 
-    name = "chaos"
-
-    def __init__(self, inner: "Transport | None" = None,
-                 injector: "FaultInjector | None" = None,
+    def __init__(self, inner: Transport, injector: FaultInjector,
                  side: str = "client") -> None:
-        if inner is None or injector is None:
-            if _ACTIVE is None:
-                raise ReproError(
-                    "the chaos transport needs an installed fault plan: "
-                    "call repro.chaos.install(plan) first")
-            inner = inner or build_transport(_ACTIVE["inner"])
-            injector = injector or _ACTIVE["injector"]
-            side = _ACTIVE["side"]
         self._inner = inner
         self._injector = injector
         self._side = side
@@ -234,35 +214,6 @@ class ChaosTransport(Transport):
                                                max_bytes=max_bytes)
         return ChaosChannel(connection, self._injector, self._faults,
                             site=site)
-
-
-def install(plan: "FaultPlan | FaultInjector", *, inner: str = "tcp",
-            side: str = "client",
-            log_path=None) -> FaultInjector:
-    """Activate a fault plan for name-resolved chaos transports.
-
-    After this, ``build_transport("chaos")`` (hence ``--transport
-    chaos`` anywhere a transport name is accepted) wraps the ``inner``
-    transport with the given plan.  Returns the active injector so the
-    caller can inspect its event log.  Call :func:`uninstall` to
-    deactivate.
-    """
-    global _ACTIVE
-    injector = (plan if isinstance(plan, FaultInjector)
-                else FaultInjector(plan, log_path=log_path))
-    _ACTIVE = {"injector": injector, "inner": inner, "side": side}
-    return injector
-
-
-def uninstall() -> None:
-    """Deactivate the process-wide chaos transport configuration."""
-    global _ACTIVE
-    _ACTIVE = None
-
-
-def installed() -> "FaultInjector | None":
-    """The active injector, or ``None`` when chaos is not installed."""
-    return None if _ACTIVE is None else _ACTIVE["injector"]
 
 
 class ChaosCheckpointStore(CheckpointStore):

@@ -110,7 +110,27 @@ def _retry_policy(args):
     return RetryPolicy(**given)
 
 
-def _fault_injector(args, *, log_attr: str = "chaos_log"):
+def add_endpoint_flags(p: argparse.ArgumentParser, *,
+                       tenant: str = "default") -> None:
+    """The ``--transport``/``--tenant`` flags of every command that
+    dials a server (``status``, ``loadgen``, ``remote``)."""
+    p.add_argument("--transport", default="tcp", metavar="NAME",
+                   help="transport the server listens on (default 'tcp')")
+    p.add_argument("--tenant", default=tenant,
+                   help=f"tenant namespace (default {tenant!r})")
+
+
+def _remote_client(args, host: str, port: int):
+    """A connected :class:`repro.server.client.RemoteClient` built from
+    the endpoint and ``--retry-*`` flags."""
+    from repro.server.client import RemoteClient
+
+    return RemoteClient(host, port, tenant=args.tenant,
+                        transport=args.transport,
+                        retry=_retry_policy(args))
+
+
+def _fault_injector(args):
     """Build a :class:`repro.chaos.FaultInjector` from ``--chaos`` (and
     ``--chaos-log``), or ``None`` when chaos is off."""
     plan_path = getattr(args, "chaos", None)
@@ -118,7 +138,7 @@ def _fault_injector(args, *, log_attr: str = "chaos_log"):
         return None
     from repro.chaos import FaultInjector, FaultPlan
     return FaultInjector(FaultPlan.load(plan_path),
-                         log_path=getattr(args, log_attr, None))
+                         log_path=getattr(args, "chaos_log", None))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -266,10 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store", default=None,
                        help="root directory for durable per-tenant "
                             "checkpoint stores (default: in-memory)")
-    serve.add_argument("--store-backend", default="directory",
-                       metavar="NAME",
-                       help="registered store backend used with --store "
-                            "(see `repro list`; default 'directory')")
     serve.add_argument("--credits", type=int, default=4,
                        help="outstanding PUSH frames granted per stream "
                             "(default 4)")
@@ -334,13 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     status_parser.add_argument("address", metavar="HOST:PORT",
                                help="a repro serve endpoint, "
                                     "e.g. 127.0.0.1:7707")
-    status_parser.add_argument("--transport", default="tcp",
-                               metavar="NAME",
-                               help="transport the server listens on "
-                                    "(default 'tcp')")
-    status_parser.add_argument("--tenant", default="default",
-                               help="tenant namespace for the handshake "
-                                    "(default 'default')")
+    add_endpoint_flags(status_parser)
     status_parser.add_argument("--json", action="store_true",
                                help="compact single-line output "
                                     "(default: indented)")
@@ -362,10 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "in-process server on a free port)")
     loadgen.add_argument("--port", type=int, default=None,
                          help="target server port (requires --host)")
-    loadgen.add_argument("--transport", default="tcp", metavar="NAME",
-                         help="transport to dial (default 'tcp')")
-    loadgen.add_argument("--tenant", default="loadgen",
-                         help="tenant namespace (default 'loadgen')")
+    add_endpoint_flags(loadgen, tenant="loadgen")
     loadgen.add_argument("--verify-bits", action="store_true",
                          help="also require outputs bit-identical to an "
                               "uninterrupted local embed")
@@ -388,17 +395,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="server address (default 127.0.0.1)")
         p.add_argument("--port", type=int, required=True,
                        help="server port")
-        p.add_argument("--tenant", default="default",
-                       help="tenant namespace (default 'default')")
+        add_endpoint_flags(p)
         p.add_argument("--stream-id", required=True,
                        help="stream id on the server")
         p.add_argument("--chunk", type=int, default=500,
                        help="items per feed (default 500)")
         p.add_argument("--encoding", default="multihash",
                        choices=encodings)
-        p.add_argument("--transport", default="tcp", metavar="NAME",
-                       help="transport the server listens on "
-                            "(default 'tcp')")
         add_retry_flags(p)
 
     remote_embed = remote_sub.add_parser(
@@ -470,7 +473,14 @@ def _cmd_detect(args) -> int:
                               params=params, encoding=args.encoding,
                               transform_degree=args.degree,
                               workers=args.workers, spans=args.spans)
+    return _print_verdict(args, result)
+
+
+def _print_verdict(args, result, **context) -> int:
+    """Print a detection verdict as JSON (``context`` fields first) and
+    return the exit code of ``detect`` and ``remote detect``."""
     payload = {
+        **context,
         "votes": [result.votes(i) for i in range(result.wm_length)],
         "bias": [result.bias(i) for i in range(result.wm_length)],
         "confidence_bit0": result.confidence(0),
@@ -734,7 +744,7 @@ def _cmd_serve(args) -> int:
     async def run() -> None:
         service = StreamService(
             host=args.host, port=args.port, store_path=args.store,
-            store_backend=args.store_backend, credits=args.credits,
+            credits=args.credits,
             transport=args.transport,
             checkpoint_every=args.checkpoint_every,
             checkpoint_interval=args.checkpoint_interval,
@@ -780,12 +790,8 @@ def _remote_feed(args, session, values) -> "list[np.ndarray]":
 
 
 def _cmd_remote_embed(args) -> int:
-    from repro.server.client import RemoteClient
-
     values = _load(args)
-    with RemoteClient(args.host, args.port, tenant=args.tenant,
-                      transport=args.transport,
-                      retry=_retry_policy(args)) as client:
+    with _remote_client(args, args.host, args.port) as client:
         session = client.protect(args.stream_id, args.watermark,
                                  _require_key(args), params=_params(args),
                                  encoding=args.encoding)
@@ -807,12 +813,8 @@ def _cmd_remote_embed(args) -> int:
 
 
 def _cmd_remote_detect(args) -> int:
-    from repro.server.client import RemoteClient
-
     values = _load(args)
-    with RemoteClient(args.host, args.port, tenant=args.tenant,
-                      transport=args.transport,
-                      retry=_retry_policy(args)) as client:
+    with _remote_client(args, args.host, args.port) as client:
         session = client.detect(args.stream_id, args.bits,
                                 _require_key(args), params=_params(args),
                                 encoding=args.encoding,
@@ -820,19 +822,8 @@ def _cmd_remote_detect(args) -> int:
         _remote_feed(args, session, values)
         result = session.result()
         reconnects = client.reconnects
-    payload = {
-        "stream_id": args.stream_id,
-        "votes": [result.votes(i) for i in range(result.wm_length)],
-        "bias": [result.bias(i) for i in range(result.wm_length)],
-        "confidence_bit0": result.confidence(0),
-        "estimate": ["1" if b else "0" if b is not None else "?"
-                     for b in result.wm_estimate()],
-        "reconnects": reconnects,
-    }
-    if args.expect is not None:
-        payload["match_fraction"] = result.match_fraction(args.expect)
-    print(json.dumps(payload, indent=2))
-    return 0 if result.total_bias > 0 else 1
+    return _print_verdict(args, result, stream_id=args.stream_id,
+                          reconnects=reconnects)
 
 
 _REMOTE_COMMANDS = {
@@ -849,14 +840,11 @@ def _cmd_remote(args) -> int:
 # observability
 # ----------------------------------------------------------------------
 def _cmd_status(args) -> int:
-    from repro.server.client import RemoteClient
-
     host, _, port = args.address.rpartition(":")
     if not host or not port.isdigit():
         raise ReproError(
             f"bad address {args.address!r}; expected HOST:PORT")
-    with RemoteClient(host, int(port), tenant=args.tenant,
-                      transport=args.transport) as client:
+    with _remote_client(args, host, int(port)) as client:
         snapshot = client.status()
     print(json.dumps(snapshot,
                      indent=None if args.json else 2))
@@ -869,22 +857,14 @@ def _cmd_loadgen(args) -> int:
     if (args.host is None) != (args.port is None):
         raise ReproError("--host and --port go together (omit both to "
                          "spawn an in-process server)")
-    transport = args.transport
-    if args.chaos is not None:
-        # Client-side chaos: wrap the dialing transport with the plan's
-        # client faults; the registry-resolved "chaos" name keeps every
-        # downstream build_transport() call untouched.
-        import repro.chaos as chaos
-        chaos.install(chaos.FaultPlan.load(args.chaos),
-                      inner=args.transport, side="client")
-        transport = "chaos"
     summary = run_loadgen(workers=args.workers, pushes=args.pushes,
                           chunk=args.chunk, crash_every=args.crash_every,
                           host=args.host, port=args.port,
-                          transport=transport,
+                          transport=args.transport,
                           tenant=args.tenant,
                           verify_bits=args.verify_bits,
-                          retry=_retry_policy(args))
+                          retry=_retry_policy(args),
+                          fault_injector=_fault_injector(args))
     print(json.dumps(summary, indent=2))
     if args.out:
         with open(args.out, "w") as handle:

@@ -44,12 +44,14 @@ async def _worker(index: int, host: str, port: int, *, tenant: str,
                   transport: str, data: np.ndarray,
                   pushes: int, chunk: int, crash_every: int, params,
                   histogram: Histogram, totals: dict,
-                  verify_bits: bool, retry=None) -> None:
+                  verify_bits: bool, retry=None,
+                  fault_injector=None) -> None:
     """One client: open, feed (crashing on cadence), finish, verify."""
     client = AsyncRemoteClient(host, port, tenant=tenant,
                                transport=transport,
                                retry=retry if retry is not None
-                               else _WORKER_RETRY)
+                               else _WORKER_RETRY,
+                               fault_injector=fault_injector)
     key = b"loadgen-%d" % index
     try:
         session = await client.protect(f"churn-{index}", "1", key,
@@ -111,14 +113,17 @@ async def run_loadgen_async(*, workers: int = 4, pushes: int = 8,
                             transport: str = "tcp",
                             tenant: str = "loadgen",
                             verify_bits: bool = False,
-                            retry=None) -> dict:
+                            retry=None, fault_injector=None) -> dict:
     """Run the churn scenario; return the summary dict.
 
     With no ``host``/``port`` an in-process server is spawned on a
     free loopback port (checkpointing every 4 pushes so resumes have
     durable state to land on) and drained when the fleet is done; its
     lifetime counters ride along under ``server``.  ``retry`` is an
-    optional :class:`repro.chaos.RetryPolicy` for the worker clients.
+    optional :class:`repro.chaos.RetryPolicy` for the worker clients,
+    and ``fault_injector`` an optional :class:`repro.chaos.FaultInjector`
+    whose client transport faults hit every worker's and the preflight
+    probe's dials (never the spawned server's channels).
 
     An unreachable external target (or an unbindable spawn address)
     raises :class:`~repro.errors.ReproError` up front — one clean
@@ -148,7 +153,8 @@ async def run_loadgen_async(*, workers: int = 4, pushes: int = 8,
         probe = AsyncRemoteClient(host, port, tenant=tenant,
                                   transport=transport,
                                   retry=RetryPolicy(attempts=2,
-                                                    max_delay=0.1))
+                                                    max_delay=0.1),
+                                  fault_injector=fault_injector)
         try:
             await probe.connect()
             await probe.close()
@@ -166,7 +172,8 @@ async def run_loadgen_async(*, workers: int = 4, pushes: int = 8,
                   data=data[index * span:(index + 1) * span],
                   pushes=pushes, chunk=chunk, crash_every=crash_every,
                   params=params, histogram=histogram, totals=totals,
-                  verify_bits=verify_bits, retry=retry)
+                  verify_bits=verify_bits, retry=retry,
+                  fault_injector=fault_injector)
           for index in range(workers)],
         return_exceptions=True)
     elapsed = time.perf_counter() - started

@@ -29,10 +29,6 @@ Registered kinds and their calling conventions:
 ``generator``
     A stream-source class constructed with keyword parameters and
     exposing ``generate(n_items)``.
-``store``
-    A :class:`repro.stores.CheckpointStore` subclass; directory-backed
-    stores are constructed as ``obj(path)``, process-local ones as
-    ``obj()`` (see :func:`repro.stores.build_store`).
 ``transport``
     A :class:`repro.server.transports.Transport` subclass, constructed
     as ``obj()`` (see :func:`repro.server.transports.build_transport`);
@@ -59,7 +55,6 @@ _PROVIDER_MODULES = (
     "repro.transforms",
     "repro.attacks",
     "repro.streams.generators",
-    "repro.stores",
     "repro.server.transports",
 )
 
@@ -85,8 +80,7 @@ class ComponentRegistry:
     """
 
     #: The component kinds the library defines.
-    KINDS = ("encoding", "transform", "attack", "generator", "store",
-             "transport")
+    KINDS = ("encoding", "transform", "attack", "generator", "transport")
 
     provider_modules: tuple = _PROVIDER_MODULES
     _tables: "dict[str, dict[str, Registration]]" = field(init=False)

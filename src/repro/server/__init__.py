@@ -13,7 +13,7 @@ service (the SecureStreams / Gabriel middleware shape):
 * :mod:`repro.server.service` — a transport-blind asyncio server
   multiplexing one :class:`~repro.hub.StreamHub` per tenant namespace
   with credit-based per-stream flow control, periodic checkpointing
-  through any registered :class:`~repro.stores.CheckpointStore`,
+  to a directory (or in-memory) :class:`~repro.stores.CheckpointStore`,
   graceful drain on SIGTERM and ``--recover`` restart;
 * :mod:`repro.server.client` — sync and async client SDKs whose
   :class:`~repro.server.client.RemoteSession` mirrors the

@@ -43,7 +43,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.chaos.retry import RetryPolicy
+from repro.chaos.retry import RETRYABLE_ERRORS, RetryPolicy
 from repro.core.detector import DetectionResult
 from repro.core.scanner import ScanCounters
 from repro.core.serialize import params_to_dict
@@ -60,19 +60,6 @@ from repro.server.transports import TransportConnection, build_transport
 _EMPTY = np.empty(0, dtype=np.float64)
 
 logger = logging.getLogger("repro.server.client")
-
-#: Errors that mean "the connection is gone" (trigger reconnect), as
-#: opposed to semantic failures the server reported on a healthy link.
-#: ConnectionResetError (raised by our own read path on EOF/BYE/torn
-#: frames/op timeouts) is a ConnectionError subclass, so it is covered.
-#: ProtocolError is deliberately *not* here: a malformed conversation on
-#: a healthy link is a bug to surface, not weather to retry — wire-level
-#: damage is converted to ConnectionResetError at the read boundary.
-_CONNECTION_ERRORS = (ConnectionError, OSError, EOFError,
-                      asyncio.IncompleteReadError)
-
-#: Timeouts differ across asyncio generations (3.10 has both).
-_TIMEOUT_ERRORS = (TimeoutError, asyncio.TimeoutError)
 
 
 class AsyncRemoteSession:
@@ -218,21 +205,31 @@ class AsyncRemoteClient:
     transport:
         Registered transport name (``tcp``, ``websocket``, or a
         plugin); must match what the server listens on.
+    fault_injector:
+        Optional :class:`~repro.chaos.FaultInjector` (``repro loadgen
+        --chaos``): when its plan has client transport faults, every
+        dial goes through a client-side
+        :class:`~repro.chaos.ChaosTransport`.
     """
 
     def __init__(self, host: str, port: int, *, tenant: str = "default",
                  retry: "RetryPolicy | None" = None,
                  push_items: int = 4096,
                  transport: str = "tcp",
-                 max_frame_bytes: int = protocol.MAX_FRAME_BYTES) -> None:
+                 fault_injector=None) -> None:
         self._host = host
         self._port = int(port)
         self._tenant = tenant
         self._retry = retry if retry is not None else RetryPolicy()
         self._push_items = max(1, int(push_items))
-        self._max_frame_bytes = int(max_frame_bytes)
         self._transport_name = transport
         self._transport = build_transport(transport)
+        if fault_injector is not None \
+                and fault_injector.plan.client_transport.active():
+            from repro.chaos.wrappers import ChaosTransport
+            self._transport = ChaosTransport(
+                inner=self._transport, injector=fault_injector,
+                side="client")
         self._channel: "TransportConnection | None" = None
         self._lock = asyncio.Lock()
         self._sessions: "dict[str, AsyncRemoteSession]" = {}
@@ -257,8 +254,7 @@ class AsyncRemoteClient:
     async def connect(self) -> None:
         """Dial the server and complete the HELLO handshake."""
         async with self._lock:
-            if self._channel is None:
-                await self._dial()
+            await self._link()
 
     async def close(self) -> None:
         """Send BYE (best effort) and drop the connection."""
@@ -271,7 +267,7 @@ class AsyncRemoteClient:
                 # Cap the wait: a goodbye lost in flight must not stall
                 # shutdown for the full op timeout.
                 await self._read(timeout=2.0)
-            except _CONNECTION_ERRORS + (RemoteError, ProtocolError):
+            except RETRYABLE_ERRORS + (RemoteError, ProtocolError):
                 pass
             await self._drop_transport()
 
@@ -284,17 +280,16 @@ class AsyncRemoteClient:
         Reconnects once if the link is down.
         """
         async with self._lock:
-            if self._channel is None:
-                await self._dial()
+            await self._link()
             try:
                 await self._send({"type": "status"})
                 frame = await self._expect("status")
-            except _CONNECTION_ERRORS:
+            except RETRYABLE_ERRORS:
                 await self._reconnect()
                 try:
                     await self._send({"type": "status"})
                     frame = await self._expect("status")
-                except _CONNECTION_ERRORS as exc:
+                except RETRYABLE_ERRORS as exc:
                     # Never leak raw socket errors past the SDK surface.
                     raise RemoteError(
                         "connection-lost",
@@ -338,6 +333,20 @@ class AsyncRemoteClient:
                 pass
         self._channel = None
 
+    async def _link(self) -> bool:
+        """Dial if the link is down; return whether it dialed.
+
+        Every dial after the first handshake is a redial, whichever
+        operation found the link down, and counts in
+        :attr:`reconnects`.
+        """
+        if self._channel is not None:
+            return False
+        if self.server_credits is not None:
+            self.reconnects += 1
+        await self._dial()
+        return True
+
     async def _dial(self) -> None:
         """One reconnect cycle under the retry policy.
 
@@ -368,9 +377,7 @@ class AsyncRemoteClient:
                     delay = min(delay, remaining)
                 await asyncio.sleep(delay)
             try:
-                connector = self._transport.connect(
-                    self._host, self._port,
-                    max_bytes=self._max_frame_bytes)
+                connector = self._transport.connect(self._host, self._port)
                 if policy.op_timeout is not None:
                     connector = asyncio.wait_for(connector,
                                                  policy.op_timeout)
@@ -382,29 +389,35 @@ class AsyncRemoteClient:
                 self.server_credits = reply.get("credits", 1)
                 await self._resume_sessions()
                 return
-            except _CONNECTION_ERRORS + _TIMEOUT_ERRORS as exc:
+            except RETRYABLE_ERRORS as exc:
                 last_error = exc
                 await self._drop_transport()
+            except RemoteError:
+                # Refused (protocol version, tenant store, ...): the
+                # server hangs up, and the channel must not leak.
+                await self._drop_transport()
+                raise
         raise RemoteError(
             "unreachable",
             f"cannot reach {self._host}:{self._port} after "
             f"{exhausted}: {last_error}")
 
     async def _reconnect(self) -> None:
-        self.reconnects += 1
         await self._drop_transport()
-        await self._dial()
+        await self._link()
 
     async def _resume_sessions(self) -> None:
-        """Re-open every live stream and replay its unseen suffix."""
+        """Re-open every live stream and replay its unseen suffix.
+
+        The replay goes through :meth:`_pipeline`, as a feed does; its
+        novel outputs wait in the session's pending buffer for the
+        next feed or finish.
+        """
         for session in self._sessions.values():
             offsets = await self._open(session, resume=True)
-            replay = session._retained_suffix(offsets["items_in"])
-            for piece in _split(replay, self._push_items):
-                # Replay sequentially (credit-safe); novel outputs land
-                # in the session's pending buffer for its next feed().
-                session._accept_output(
-                    await self._push_one(session, piece))
+            await self._pipeline(session, _split(
+                session._retained_suffix(offsets["items_in"]),
+                self._push_items))
 
     async def _open(self, session: AsyncRemoteSession,
                     resume: bool) -> dict:
@@ -434,8 +447,7 @@ class AsyncRemoteClient:
     async def _send(self, frame: dict) -> None:
         if self._channel is None:
             raise ConnectionResetError("not connected")
-        body = protocol.CODEC.encode(frame,
-                                     max_bytes=self._max_frame_bytes)
+        body = protocol.CODEC.encode(frame)
         self.bytes_sent += len(body)
         self.frames_sent += 1
         await self._channel.write_message(body)
@@ -481,7 +493,7 @@ class AsyncRemoteClient:
                 # The peer died mid-message (or sent garbage): wire damage.
                 raise ConnectionResetError(f"wire damage: {exc}") from exc
             body = None
-        except _CONNECTION_ERRORS:
+        except RETRYABLE_ERRORS:
             # The timer's abort may end the read with any of these.
             if not expired:
                 raise
@@ -528,14 +540,6 @@ class AsyncRemoteClient:
                     f"expected {frame_type} {fields or ''}, got {frame}")
             return frame
 
-    async def _await_credit(self, stream_id: str) -> None:
-        """Block until the stream has at least one push credit."""
-        while self._credits.get(stream_id, 0) <= 0:
-            frame = await self._read()
-            if frame["type"] != "credit":
-                raise ProtocolError(
-                    f"expected a credit frame, got {frame}")
-
     def _push_frame(self, session: AsyncRemoteSession,
                     piece: np.ndarray) -> "tuple[dict, int]":
         seq = session._seq
@@ -543,17 +547,6 @@ class AsyncRemoteClient:
         return ({"type": "push", "stream_id": session.stream_id,
                  "seq": seq, "delivered": session._delivered,
                  "values": piece}, seq)
-
-    async def _push_one(self, session: AsyncRemoteSession,
-                        piece: np.ndarray) -> dict:
-        """One PUSH/RESULT round-trip honouring the credit window."""
-        stream_id = session.stream_id
-        await self._await_credit(stream_id)
-        self._credits[stream_id] -= 1
-        frame, seq = self._push_frame(session, piece)
-        await self._send(frame)
-        return await self._expect("result", op="push", stream_id=stream_id,
-                                  seq=seq)
 
     async def _pipeline(self, session: AsyncRemoteSession,
                         pieces: "list[np.ndarray]") -> None:
@@ -599,11 +592,10 @@ class AsyncRemoteClient:
                                      else str(key).encode("utf-8"),
                                      open_fields)
         async with self._lock:
-            if self._channel is None:
-                await self._dial()
+            await self._link()
             try:
                 await self._open(session, resume=False)
-            except _CONNECTION_ERRORS:
+            except RETRYABLE_ERRORS:
                 # One transparent retry on a fresh transport — with
                 # resume: the first OPEN may have reached the server
                 # before the drop, and the server falls through to a
@@ -611,7 +603,7 @@ class AsyncRemoteClient:
                 await self._reconnect()
                 try:
                     await self._open(session, resume=True)
-                except _CONNECTION_ERRORS as exc:
+                except RETRYABLE_ERRORS as exc:
                     # Never leak raw socket errors past the SDK surface.
                     raise RemoteError(
                         "connection-lost",
@@ -623,20 +615,17 @@ class AsyncRemoteClient:
     async def _feed(self, session: AsyncRemoteSession,
                     array: np.ndarray) -> np.ndarray:
         async with self._lock:
-            if self._channel is None:
+            if await self._link():
                 # A live session over a dead channel (simulate_crash, a
-                # noticed drop): this dial is a reconnect.  The chunk is
-                # already in the retained buffer, so the dial's resume
-                # replays it along with the rest of the unseen suffix —
-                # pipelining it again here would ingest it twice
-                # server-side.
-                self.reconnects += 1
-                await self._dial()
+                # noticed drop).  The chunk is already in the retained
+                # buffer, so the dial's resume replayed it along with
+                # the rest of the unseen suffix — pipelining it again
+                # here would ingest it twice server-side.
                 return _concat(session._take_pending())
             try:
                 await self._pipeline(session,
                                      _split(array, self._push_items))
-            except _CONNECTION_ERRORS:
+            except RETRYABLE_ERRORS:
                 # The transport died with pieces outstanding.  The
                 # retained buffer already covers every item of this
                 # feed, so reconnect + resume replays them; novel
@@ -647,8 +636,7 @@ class AsyncRemoteClient:
 
     async def _finish(self, session: AsyncRemoteSession) -> np.ndarray:
         async with self._lock:
-            if self._channel is None:
-                await self._dial()
+            await self._link()
             while True:
                 try:
                     await self._send({"type": "flush",
@@ -658,7 +646,7 @@ class AsyncRemoteClient:
                                                stream_id=session.stream_id)
                     session._accept_output(frame)
                     break
-                except _CONNECTION_ERRORS:
+                except RETRYABLE_ERRORS:
                     await self._reconnect()
             if "detection" in frame:
                 session._detection = frame["detection"]

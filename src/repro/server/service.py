@@ -65,7 +65,7 @@ from repro.obs import MetricsRegistry
 from repro.server import protocol
 from repro.server.transports import (Listener, TransportConnection,
                                      build_transport)
-from repro.stores import build_store
+from repro.stores import DirectoryCheckpointStore, MemoryCheckpointStore
 
 logger = logging.getLogger("repro.server.service")
 
@@ -102,10 +102,9 @@ def _key_fingerprint(tenant: str, stream_id: str, key: bytes) -> str:
 class _Connection:
     """Per-connection state: tenant binding, streams, credits."""
 
-    def __init__(self, channel: TransportConnection, max_bytes: int,
+    def __init__(self, channel: TransportConnection,
                  metrics: MetricsRegistry, transport: str) -> None:
         self.channel = channel
-        self.max_bytes = max_bytes
         self.tenant: "str | None" = None
         self.hub: "StreamHub | None" = None
         #: stream_id -> remaining PUSH credits on this connection.
@@ -139,15 +138,14 @@ class _Connection:
 
     async def send(self, frame: dict) -> None:
         """Encode (validating) and write one frame to this client."""
-        body = protocol.CODEC.encode(frame, max_bytes=self.max_bytes)
+        body = protocol.CODEC.encode(frame)
         self.m_frames_out.inc()
         self.m_bytes_out.inc(len(body))
         await self.channel.write_message(body)
 
     async def send_many(self, frames: "list[dict]") -> None:
         """Encode and write several frames in one transport batch."""
-        bodies = [protocol.CODEC.encode(frame, max_bytes=self.max_bytes)
-                  for frame in frames]
+        bodies = [protocol.CODEC.encode(frame) for frame in frames]
         self.m_frames_out.inc(len(bodies))
         self.m_bytes_out.inc(sum(len(body) for body in bodies))
         await self.channel.write_messages(bodies)
@@ -189,9 +187,6 @@ class StreamService:
         Root directory for durable per-tenant stores (each tenant gets
         ``store_path/<quoted-tenant>``).  ``None`` keeps checkpoints in
         per-tenant memory stores (no durability, still drains cleanly).
-    store_backend:
-        Registered store name (``repro list``) used when ``store_path``
-        is given; default ``"directory"``.
     credits:
         PUSH frames a client may have outstanding per stream.
     checkpoint_every:
@@ -227,13 +222,11 @@ class StreamService:
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
                  transport: str = "tcp",
                  store_path: "str | Path | None" = None,
-                 store_backend: str = "directory",
                  credits: int = DEFAULT_CREDITS,
                  checkpoint_every: int = 1,
                  checkpoint_interval: "float | None" = None,
                  max_live_sessions: "int | None" = None,
                  recover: bool = False,
-                 max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
                  metrics: "MetricsRegistry | None" = None,
                  status_interval: "float | None" = None,
                  status_sink=None,
@@ -252,13 +245,11 @@ class StreamService:
                 inner=self._transport, injector=fault_injector,
                 side="server")
         self._store_path = Path(store_path) if store_path is not None else None
-        self._store_backend = store_backend
         self._credits = int(credits)
         self._checkpoint_every = int(checkpoint_every)
         self._checkpoint_interval = checkpoint_interval
         self._max_live = max_live_sessions
         self._recover = recover
-        self._max_frame_bytes = int(max_frame_bytes)
         self._hubs: "dict[str, StreamHub]" = {}
         #: tenant -> sidecar store holding each stream's replay buffer.
         self._meta_stores: "dict[str, object]" = {}
@@ -329,8 +320,7 @@ class StreamService:
                     "stream(s); start with --recover to resume them"
                 )
         self._listener = await self._transport.serve(
-            self._host, self._port, self._handle_connection,
-            max_bytes=self._max_frame_bytes)
+            self._host, self._port, self._handle_connection)
         self._host, self._port = self._listener.address
         self._started_at = time.time()
         if self._checkpoint_interval:
@@ -367,9 +357,13 @@ class StreamService:
         self._drain_reason = reason
         started = time.perf_counter()
         try:
-            for task in (self._flusher, self._status_task):
-                if task is not None:
-                    task.cancel()
+            loops = [task for task in (self._flusher, self._status_task)
+                     if task is not None]
+            for task in loops:
+                task.cancel()
+            # Wait for the cancellations to land, so no sweep outlives
+            # the drain.
+            await asyncio.gather(*loops, return_exceptions=True)
             if self._listener is not None:
                 self._listener.close()
             try:
@@ -461,8 +455,8 @@ class StreamService:
 
         Tenant discovery assumes the directory layout this service
         writes (one subdirectory per tenant); the ids inside each are
-        read through the configured backend's own :meth:`ids`, not by
-        re-parsing file names here.
+        read through the store's own :meth:`ids`, not by re-parsing
+        file names here.
         """
         found: "dict[str, list[str]]" = {}
         if self._store_path is None or not self._store_path.is_dir():
@@ -470,7 +464,7 @@ class StreamService:
         for entry in sorted(self._store_path.iterdir()):
             if not entry.is_dir() or entry.name == "%meta":
                 continue
-            ids = build_store(self._store_backend, entry).ids()
+            ids = DirectoryCheckpointStore(entry).ids()
             if ids:
                 found[unquote(entry.name)] = list(ids)
         return found
@@ -497,16 +491,15 @@ class StreamService:
         if hub is None:
             if self._store_path is not None:
                 quoted = quote(tenant, safe="")
-                store = build_store(self._store_backend,
-                                    self._store_path / quoted)
+                store = DirectoryCheckpointStore(self._store_path / quoted)
                 # Sidecars live under one reserved directory whose name
                 # cannot collide with any quoted tenant: quote() output
                 # contains "%" only in valid %XX escapes, never "%m".
-                meta = build_store(self._store_backend,
-                                   self._store_path / "%meta" / quoted)
+                meta = DirectoryCheckpointStore(
+                    self._store_path / "%meta" / quoted)
             else:
-                store = build_store("memory")
-                meta = build_store("memory")
+                store = MemoryCheckpointStore()
+                meta = MemoryCheckpointStore()
             if self._fault_injector is not None \
                     and self._fault_injector.plan.store.active():
                 from repro.chaos.wrappers import ChaosCheckpointStore
@@ -637,8 +630,8 @@ class StreamService:
     # ------------------------------------------------------------------
     async def _handle_connection(self,
                                  channel: TransportConnection) -> None:
-        connection = _Connection(channel, self._max_frame_bytes,
-                                 self.metrics, self._transport_name)
+        connection = _Connection(channel, self.metrics,
+                                 self._transport_name)
         self._connections.add(connection)
         self._m_connections_total.inc()
         try:
@@ -677,7 +670,14 @@ class StreamService:
                 f"client sent {frame['version']}")
             return False
         connection.tenant = frame.get("tenant", "default")
-        connection.hub = self.hub_for(connection.tenant)
+        try:
+            connection.hub = self.hub_for(connection.tenant)
+        except ReproError as exc:
+            # The tenant's stores cannot open (a file where its
+            # directory belongs, ...): say so, do not just hang up.
+            self.errors += 1
+            await self._send_error(connection, _error_code(exc), str(exc))
+            return False
         from repro import __version__
         await connection.send({"type": "hello",
                                "version": protocol.PROTOCOL_VERSION,

@@ -44,7 +44,6 @@ from pathlib import Path
 from urllib.parse import quote, unquote
 
 from repro.errors import CheckpointStoreError
-from repro.registry import REGISTRY
 
 logger = logging.getLogger("repro.stores")
 
@@ -223,9 +222,6 @@ class CheckpointStore(abc.ABC):
         return self._decode(raw, stream_id)["sequence"]
 
 
-@REGISTRY.register("store", "memory",
-                   description="in-process checkpoint store (not durable; "
-                               "eviction staging and tests)")
 class MemoryCheckpointStore(CheckpointStore):
     """In-process checkpoint store (a dict of encoded entries).
 
@@ -277,9 +273,6 @@ class MemoryCheckpointStore(CheckpointStore):
         return list(self._entries)
 
 
-@REGISTRY.register("store", "directory",
-                   description="durable one-file-per-stream store with "
-                               "atomic writes")
 class DirectoryCheckpointStore(CheckpointStore):
     """Durable checkpoint store: one atomically-written file per stream.
 
@@ -322,7 +315,12 @@ class DirectoryCheckpointStore(CheckpointStore):
                 raise CheckpointStoreError(
                     f"checkpoint store directory {self._dir} does not exist"
                 )
-            self._dir.mkdir(parents=True, exist_ok=True)
+            try:
+                self._dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:  # a file on the path, no permission...
+                raise CheckpointStoreError(
+                    f"cannot create checkpoint store directory "
+                    f"{self._dir}: {exc}") from exc
 
     @property
     def path(self) -> Path:
@@ -518,24 +516,3 @@ class DirectoryCheckpointStore(CheckpointStore):
                 for entry in self._dir.iterdir()
                 if entry.is_file() and entry.name.endswith(".json")]
 
-
-def build_store(backend: str, path: "str | Path | None" = None,
-                **options) -> CheckpointStore:
-    """Construct a registered store backend by name.
-
-    Directory-style backends (anything whose constructor takes a
-    leading ``path``) require ``path``; process-local backends reject
-    it.  The name resolves through :data:`repro.registry.REGISTRY`, so
-    a plugin store registered under ``"store"`` is immediately usable
-    by ``repro serve --store-backend``.
-    """
-    cls = REGISTRY.get("store", backend)
-    try:
-        if path is not None:
-            return cls(path, **options)
-        return cls(**options)
-    except TypeError as exc:
-        expects = "does not take" if path is not None else "needs"
-        raise CheckpointStoreError(
-            f"store backend {backend!r} {expects} a path: {exc}"
-        ) from exc

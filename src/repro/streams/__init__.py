@@ -12,7 +12,7 @@ from repro.streams.generators import (
     TemperatureSensorGenerator,
 )
 from repro.streams.io import load_stream_csv, load_stream_npy, save_stream_csv, save_stream_npy
-from repro.streams.model import StreamMeta, chunked, stream_from_array
+from repro.streams.model import StreamMeta, chunked
 from repro.streams.nasa import IRTF_CADENCE_SECONDS, IRTF_N_READINGS, synthetic_irtf_month
 from repro.streams.normalize import Normalizer
 from repro.streams.window import SlidingWindow
@@ -27,7 +27,6 @@ __all__ = [
     "save_stream_npy",
     "StreamMeta",
     "chunked",
-    "stream_from_array",
     "IRTF_CADENCE_SECONDS",
     "IRTF_N_READINGS",
     "synthetic_irtf_month",

@@ -23,7 +23,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.errors import StreamError
-from repro.util.validation import as_float_array
 
 
 @dataclass(frozen=True)
@@ -50,12 +49,6 @@ class StreamMeta:
     def __post_init__(self) -> None:
         if not self.rate_hz > 0:
             raise StreamError(f"rate_hz must be positive, got {self.rate_hz}")
-
-
-def stream_from_array(values, meta: "StreamMeta | None" = None) -> tuple[np.ndarray, StreamMeta]:
-    """Validate an in-memory array as a stream and attach metadata."""
-    array = as_float_array(values, "stream values")
-    return array, (meta or StreamMeta())
 
 
 def chunked(source: Iterable[float], chunk_size: int) -> Iterator[np.ndarray]:

@@ -32,7 +32,7 @@ per-item Python calls.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -220,11 +220,6 @@ class SlidingWindow:
         self._buffer[tail:tail + k] = chunk
         self._count += k
         return evicted
-
-    def push_many(self, values: Iterable[float]) -> list[float]:
-        """Push a batch; return all evicted items in order."""
-        return self.push_chunk(
-            np.fromiter(values, dtype=np.float64)).tolist()
 
     def advance_array(self, n: int) -> np.ndarray:
         """Evict (and return, as a fresh array) the ``n`` oldest items.

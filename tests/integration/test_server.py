@@ -755,6 +755,32 @@ class TestObservability:
         assert np.array_equal(marked, reference)
         assert client.reconnects >= 1
 
+    def test_every_redial_counts_once(self, harness):
+        """A redial after ``simulate_crash()`` adds exactly 1 to
+        ``reconnects``, whichever operation finds the link down:
+        finish, status, open or feed."""
+        values = TemperatureSensorGenerator(eta=60, seed=68).generate(1000)
+        host, port = harness.service.address
+        counts = []
+        with RemoteClient(host, port,
+                          retry=RetryPolicy(max_delay=0.05)) as client:
+            first = client.protect("first", "1", KEY, params=PARAMS)
+            first.feed(values[:500])
+            client.simulate_crash()
+            first.finish()
+            counts.append(client.reconnects)
+            client.simulate_crash()
+            client.status()
+            counts.append(client.reconnects)
+            client.simulate_crash()
+            second = client.protect("second", "1", KEY, params=PARAMS)
+            counts.append(client.reconnects)
+            client.simulate_crash()
+            second.feed(values[500:])
+            counts.append(client.reconnects)
+            second.finish()
+        assert counts == [1, 2, 3, 4]
+
     @pytest.mark.parametrize("workers,pushes,chunk,crash_every", [
         pytest.param(3, 6, 128, 2, id="small"),
         pytest.param(6, 10, 256, 3, id="bench"),
@@ -776,6 +802,78 @@ class TestObservability:
         assert summary["push_ms"]["p50"] is not None
         assert summary["push_ms"]["p99"] is not None
         assert summary["server"]["pushes"] >= workers * pushes
+
+
+class TestStoreLifecycle:
+    @pytest.mark.parametrize("blocker", ["blocked", "%meta"],
+                             ids=["tenant-dir", "sidecar-root"])
+    def test_unopenable_tenant_store_gets_store_error(self, tmp_path,
+                                                      blocker):
+        """A tenant whose session or sidecar store cannot open is
+        refused with a ``store`` ERROR on the first dial, counted in
+        ``errors``; nothing reaches the loop's exception handler, and
+        the refused client keeps no socket open."""
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / blocker).write_text("a file where a directory belongs")
+
+        async def hello_blocked():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context))
+            service = StreamService(store_path=store)
+            client = AsyncRemoteClient(*await service.start(),
+                                       tenant="blocked",
+                                       retry=RetryPolicy(max_delay=0.05))
+            try:
+                with pytest.raises(RemoteError) as refused:
+                    await client.connect()
+                leftover = client._channel
+            finally:
+                await client.close()
+                await service.drain()
+            return refused.value.code, service.errors, unhandled, leftover
+
+        code, errors, unhandled, leftover = asyncio.run(
+            asyncio.wait_for(hello_blocked(), 30))
+        assert code == "store"
+        assert errors == 1
+        assert unhandled == []
+        assert leftover is None  # the refused client closed its socket
+
+    def test_checkpoint_interval_alone_persists_streams(self, tmp_path):
+        """With no per-push cadence, the wall-clock sweep brings a pushed
+        stream's checkpoint and sidecar to the store, and ``drain()``
+        leaves no task pending."""
+        values = TemperatureSensorGenerator(eta=60, seed=69).generate(1000)
+
+        async def sweep():
+            before = asyncio.all_tasks()
+            service = StreamService(store_path=tmp_path / "store",
+                                    checkpoint_every=0,
+                                    checkpoint_interval=0.05)
+            host, port = await service.start()
+            loop = asyncio.get_running_loop()
+            async with AsyncRemoteClient(host, port) as client:
+                session = await client.protect("swept", "1", KEY,
+                                               params=PARAMS)
+                await session.feed(values)
+                hub = service.hub_for("default")
+                meta = service._meta_stores["default"]
+                deadline = loop.time() + 2.0
+                while loop.time() < deadline and not (
+                        "swept" in hub.store and "swept" in meta):
+                    await asyncio.sleep(0.01)
+                swept = "swept" in hub.store and "swept" in meta
+                await session.finish()
+            await service.drain()
+            pending = [repr(task) for task in asyncio.all_tasks() - before
+                       if not task.done()]
+            return swept, pending
+
+        swept, pending = asyncio.run(asyncio.wait_for(sweep(), 30))
+        assert swept
+        assert pending == []
 
 
 def _live_timers(loop) -> set:

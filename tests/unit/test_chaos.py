@@ -31,14 +31,13 @@ from repro.chaos import (
     RetryPolicy,
     StoreFaults,
     TransportFaults,
-    is_retryable,
 )
+from repro.chaos.retry import RETRYABLE_ERRORS
 from repro.errors import (
     CheckpointStoreError,
     ParameterError,
     ProtocolError,
     RemoteError,
-    ReproError,
 )
 from repro.stores import DirectoryCheckpointStore, MemoryCheckpointStore
 
@@ -286,7 +285,7 @@ class TestRetryPolicy:
         asyncio.IncompleteReadError(b"", 10),
     ])
     def test_transport_weather_is_retryable(self, error):
-        assert is_retryable(error)
+        assert isinstance(error, RETRYABLE_ERRORS)
 
     @pytest.mark.parametrize("error", [
         RemoteError("bad-key", "wrong key"),
@@ -295,7 +294,7 @@ class TestRetryPolicy:
         ValueError("not ours"),
     ])
     def test_semantic_failures_fail_fast(self, error):
-        assert not is_retryable(error)
+        assert not isinstance(error, RETRYABLE_ERRORS)
 
 
 class TestChaosCheckpointStore:
@@ -486,25 +485,8 @@ class TestChaosChannel:
 
 
 class TestInstall:
-    def test_unresolved_chaos_transport_is_clean_error(self):
-        from repro.server.transports import build_transport
-
-        chaos.uninstall()
-        with pytest.raises(ReproError, match="install"):
-            build_transport("chaos")
-
-    def test_install_resolves_and_uninstall_clears(self):
-        from repro.server.transports import build_transport
-
-        injector = chaos.install(FaultPlan(seed=5), inner="tcp",
-                                 side="client")
-        try:
-            assert chaos.installed() is injector
-            transport = build_transport("chaos")
-            assert transport._injector is injector
-        finally:
-            chaos.uninstall()
-        assert chaos.installed() is None
+    """A :class:`ChaosTransport` wrapped around a real transport, the
+    way the service and the client SDK install one."""
 
     def test_chaos_transport_round_trip_over_real_tcp(self):
         """A chaos-wrapped dial against a chaos-wrapped listener moves
@@ -552,6 +534,23 @@ class TestInstall:
                                 side="client")
         with pytest.raises(ConnectionRefusedError, match="chaos"):
             asyncio.run(client.connect("127.0.0.1", 9))
+
+    def test_client_fault_injector_wraps_dials(self):
+        """``AsyncRemoteClient(fault_injector=...)`` dials through a
+        client-side ChaosTransport: a plan that fails every dial fails
+        the client's, and the injector logs each one."""
+        from repro.server.client import AsyncRemoteClient
+
+        plan = FaultPlan(seed=5, client_transport=TransportFaults(
+            connect_fail_rate=1.0))
+        injector = FaultInjector(plan)
+        client = AsyncRemoteClient("127.0.0.1", 9,
+                                   retry=RetryPolicy(attempts=2),
+                                   fault_injector=injector)
+        with pytest.raises(RemoteError, match="injected dial failure"):
+            asyncio.run(client.connect())
+        assert [event["fault"] for event in injector.events] \
+            == ["connect-fail", "connect-fail"]
 
 
 class TestCrashGate:

@@ -440,6 +440,26 @@ class TestRemoteCommands:
         assert verdict["estimate"] == ["1"]
         assert verdict["reconnects"] == 0
 
+    def test_remote_detect_prints_the_offline_verdict(self, server,
+                                                      stream_file,
+                                                      tmp_path, capsys):
+        """On the same marked file and key, `remote detect` prints the
+        evidence `detect` prints, exact_fp_bit0 included."""
+        host, port = server
+        marked_path = tmp_path / "marked.csv"
+        assert main(["embed", str(stream_file), str(marked_path),
+                     "--key", "cli-key", "--watermark", "1"]) == 0
+        capsys.readouterr()
+        assert main(["detect", str(marked_path), "--key", "cli-key"]) == 0
+        offline = json.loads(capsys.readouterr().out)
+        assert main(["remote", "detect", str(marked_path),
+                     "--host", host, "--port", str(port),
+                     "--stream-id", "cli-v1", "--key", "cli-key"]) == 0
+        remote = json.loads(capsys.readouterr().out)
+        fields = ("votes", "bias", "confidence_bit0", "exact_fp_bit0")
+        assert {name: remote[name] for name in fields} \
+            == {name: offline[name] for name in fields}
+
     def test_remote_unreachable_server_is_clean_error(self, stream_file,
                                                       tmp_path, capsys):
         code = main(["remote", "embed", str(stream_file),
@@ -676,18 +696,15 @@ class TestChaosAndSuperviseCommands:
             client_transport=chaos.TransportFaults(reset_rate=0.05))
         plan_path = tmp_path / "plan.json"
         plan.dump(plan_path)
-        try:
-            code = main(["loadgen", "--workers", "2", "--pushes", "4",
-                         "--chunk", "64", "--crash-every", "0",
-                         "--chaos", str(plan_path),
-                         "--retry-attempts", "50",
-                         "--retry-base-delay", "0.01",
-                         "--retry-max-delay", "0.1",
-                         "--retry-deadline", "60"])
-        finally:
-            chaos.uninstall()
+        code = main(["loadgen", "--workers", "2", "--pushes", "4",
+                     "--chunk", "64", "--crash-every", "0",
+                     "--chaos", str(plan_path),
+                     "--retry-attempts", "50",
+                     "--retry-base-delay", "0.01",
+                     "--retry-max-delay", "0.1",
+                     "--retry-deadline", "60"])
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["transport"] == "chaos"
+        assert summary["transport"] == "tcp"
         assert summary["verify_failures"] == 0
         assert summary["worker_errors"] == []

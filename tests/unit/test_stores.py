@@ -573,34 +573,3 @@ class TestStreamIdFuzz:
         assert store.load(stream_id)["marker"] == "here"
         file_names = [p.name for p in store.path.iterdir()]
         assert all(os.sep not in name for name in file_names)
-
-
-class TestBuildStore:
-    def test_builds_registered_backends(self, tmp_path):
-        from repro.stores import (DirectoryCheckpointStore,
-                                  MemoryCheckpointStore, build_store)
-
-        assert isinstance(build_store("memory"), MemoryCheckpointStore)
-        directory = build_store("directory", tmp_path / "d")
-        assert isinstance(directory, DirectoryCheckpointStore)
-
-    def test_directory_without_path_is_clean_error(self):
-        from repro.errors import CheckpointStoreError
-        from repro.stores import build_store
-
-        with pytest.raises(CheckpointStoreError, match="needs a path"):
-            build_store("directory")
-
-    def test_memory_with_path_is_clean_error(self, tmp_path):
-        from repro.errors import CheckpointStoreError
-        from repro.stores import build_store
-
-        with pytest.raises(CheckpointStoreError, match="not take a path"):
-            build_store("memory", tmp_path)
-
-    def test_unknown_backend_lists_valid_names(self):
-        from repro.errors import RegistryError
-        from repro.stores import build_store
-
-        with pytest.raises(RegistryError, match="memory"):
-            build_store("no-such-backend")

@@ -12,7 +12,7 @@ from repro.streams.io import (
     save_stream_csv,
     save_stream_npy,
 )
-from repro.streams.model import StreamMeta, chunked, stream_from_array
+from repro.streams.model import StreamMeta, chunked
 from repro.streams.nasa import (
     IRTF_CADENCE_SECONDS,
     IRTF_N_READINGS,
@@ -39,21 +39,6 @@ class TestChunked:
     def test_chunk_size_validation(self):
         with pytest.raises(StreamError):
             list(chunked(iter([1.0]), 0))
-
-
-class TestStreamFromArray:
-    def test_validates_and_attaches_meta(self):
-        values, meta = stream_from_array([0.1, 0.2])
-        assert values.dtype == np.float64
-        assert meta.rate_hz == 100.0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(StreamError):
-            stream_from_array([0.1, float("nan")])
-
-    def test_rejects_2d(self):
-        with pytest.raises(StreamError):
-            stream_from_array(np.zeros((2, 2)))
 
 
 class TestIo:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, StreamError
 from repro.transforms.linear import linear_transform
 from repro.transforms.sampling import fixed_random_sampling, uniform_random_sampling
 from repro.transforms.segmentation import random_segment, segment
@@ -57,6 +57,15 @@ class TestSampling:
             uniform_random_sampling([0.1, 0.2], 0)
         with pytest.raises(ParameterError):
             uniform_random_sampling([0.1, 0.2], 3)
+
+    @pytest.mark.parametrize("values", [[0.1, float("nan")],
+                                        np.zeros((2, 2))],
+                             ids=["non-finite", "2d"])
+    def test_malformed_stream_rejected(self, values):
+        """A non-finite or multi-dimensional stream is refused, not
+        sampled (the input check every transform shares)."""
+        with pytest.raises(StreamError):
+            uniform_random_sampling(values, 1)
 
 
 class TestSummarization:

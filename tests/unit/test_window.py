@@ -22,19 +22,19 @@ class TestBasics:
 
     def test_push_at_capacity_evicts_fifo(self):
         w = SlidingWindow(3)
-        w.push_many([1.0, 2.0, 3.0])
+        w.push_chunk([1.0, 2.0, 3.0])
         assert w.push(4.0) == 1.0
         assert list(w) == [2.0, 3.0, 4.0]
 
     def test_indices_track_stream_positions(self):
         w = SlidingWindow(3)
-        w.push_many([1.0, 2.0, 3.0, 4.0, 5.0])
+        w.push_chunk([1.0, 2.0, 3.0, 4.0, 5.0])
         assert w.start_index == 2
         assert w.end_index == 5
 
     def test_getitem_and_replace(self):
         w = SlidingWindow(4)
-        w.push_many([1.0, 2.0, 3.0])
+        w.push_chunk([1.0, 2.0, 3.0])
         w.replace(1, 9.0)
         assert w[1] == 9.0
 
@@ -46,7 +46,7 @@ class TestBasics:
 
     def test_advance_returns_oldest(self):
         w = SlidingWindow(8)
-        w.push_many([1.0, 2.0, 3.0, 4.0])
+        w.push_chunk([1.0, 2.0, 3.0, 4.0])
         assert w.advance(2) == [1.0, 2.0]
         assert w.start_index == 2
 
@@ -56,7 +56,7 @@ class TestBasics:
 
     def test_flush_drains_everything(self):
         w = SlidingWindow(8)
-        w.push_many([1.0, 2.0])
+        w.push_chunk([1.0, 2.0])
         assert w.flush() == [1.0, 2.0]
         assert len(w) == 0
 
@@ -78,7 +78,7 @@ class TestBasics:
 class TestStateRoundTrip:
     def test_round_trip_preserves_contents(self):
         w = SlidingWindow(4)
-        w.push_many([1.5, -0.25, 3.0, 4.0, 5.0])
+        w.push_chunk([1.5, -0.25, 3.0, 4.0, 5.0])
         restored = SlidingWindow.from_state(w.to_state())
         assert restored.values().tolist() == w.values().tolist()
         assert restored.start_index == w.start_index
@@ -105,7 +105,7 @@ class TestStreamInvariants:
     def test_conservation(self, values, capacity):
         """Every pushed item is either still in-window or was evicted."""
         w = SlidingWindow(capacity)
-        evicted = w.push_many(values)
+        evicted = w.push_chunk(values).tolist()
         assert evicted + list(w) == values
 
     @given(st.lists(st.floats(-1, 1, allow_nan=False), min_size=1,
