@@ -50,6 +50,12 @@ class ChaosChannel(TransportConnection):
         self._sleepers: "set[asyncio.Future]" = set()
         self._aborted = False
 
+    @property
+    def peer_gone(self) -> bool:
+        """Gone once an injected fault aborted this channel, or once the
+        inner channel has seen the peer hang up."""
+        return self._aborted or self._inner.peer_gone
+
     async def _sleep(self, seconds: float) -> None:
         """Sleep out an injected delay, unless the channel is aborted.
 

@@ -228,6 +228,17 @@ class WatermarkParams:
         """
         return 2.0 ** (self.lsb_bits - self.value_bits)
 
+    @property
+    def scan_batch(self) -> int:
+        """Items one scanner sub-batch ingests: a quarter of the window.
+
+        :meth:`repro.core.scanner.StreamScanner.process` cuts every
+        chunk into sub-batches of this size, so pivot processing keeps
+        up with eviction; the network server cuts large pushes at the
+        same boundaries, which therefore cannot change output bits.
+        """
+        return max(16, self.window_size // 4)
+
     def validate_for_watermark(self, wm_length: int) -> None:
         """Check the Sec-3.2 requirement ``phi > b(wm)``."""
         if wm_length < 1:

@@ -134,7 +134,7 @@ class StreamScanner:
         """
         array = np.asarray(values, dtype=np.float64).ravel()
         released: list[np.ndarray] = []
-        batch = max(16, self._params.window_size // 4)
+        batch = self._params.scan_batch
         for batch_start in range(0, array.size, batch):
             sub = array[batch_start:batch_start + batch]
             chunk_start = self._next_index

@@ -76,7 +76,9 @@ class StreamStats:
     also the replay offset for re-feeding source data.  ``items_out``
     counts released (window-delayed) output items.  ``live`` is whether
     the session currently resides in memory (``False`` after LRU
-    eviction to the store).
+    eviction to the store).  ``pushes`` counts :meth:`StreamHub.push`
+    calls: the network server makes one per scanner sub-batch of a PUSH
+    frame, so behind ``repro serve`` it counts slices, not frames.
     """
 
     stream_id: str
@@ -486,6 +488,16 @@ class StreamHub:
             "items_out": int(session.items_released),
             "finished": bool(self._stats[stream_id].finished),
         }
+
+    def scan_batch(self, stream_id: str) -> int:
+        """Items one scanner sub-batch of this stream ingests
+        (:attr:`~repro.core.params.WatermarkParams.scan_batch`).
+
+        A chunk cut into pushes of this size is scanned exactly as the
+        whole chunk would be.  Evicted sessions are transparently
+        restored first.
+        """
+        return self._resident(stream_id).params.scan_batch
 
     def stats(self, stream_id: "str | None" = None):
         """Per-stream counters: one dict, or ``{stream_id: dict}`` for all."""

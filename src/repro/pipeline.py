@@ -181,6 +181,11 @@ class ProtectionSession:
 
     # ------------------------------------------------------------------
     @property
+    def params(self) -> WatermarkParams:
+        """The (frozen) watermark parameters this session runs with."""
+        return self._params
+
+    @property
     def report(self) -> EmbedReport:
         """Live embedding report (counters update as chunks are fed)."""
         return self._embedder.report
@@ -325,6 +330,11 @@ class DetectionSession:
         self._finished = False
 
     # ------------------------------------------------------------------
+    @property
+    def params(self) -> WatermarkParams:
+        """The (frozen) watermark parameters this session runs with."""
+        return self._params
+
     @property
     def items_ingested(self) -> int:
         """Total stream items fed into this session so far."""

@@ -19,6 +19,15 @@ Design points:
   grant); every processed PUSH returns its credit via a CREDIT frame.
   A client that pushes beyond its credit gets a ``flow`` ERROR and the
   frame is dropped — backpressure instead of unbounded buffering.
+* **sliced pushes** — one event loop serves every connection, so a
+  PUSH frame is ingested one scanner sub-batch
+  (:attr:`~repro.core.params.WatermarkParams.scan_batch`, 512 items at
+  the default window) per :meth:`~repro.hub.StreamHub.push` call, with
+  the loop yielded in between: a small push on another connection
+  waits behind one sub-batch of a large push, not all of it.  The
+  scanner cuts every chunk at the same boundaries, so the bits do not
+  change.  Hub ``pushes`` therefore count slices; the server's own
+  ``pushes`` count PUSH frames.
 * **durability** — sessions checkpoint on a per-stream push cadence
   (``checkpoint_every``), on an optional wall-clock interval, when a
   connection ends, and during drain.  Keys arrive in OPEN frames and
@@ -909,6 +918,7 @@ class StreamService:
                 f"no push credits left for stream {stream_id!r}; wait "
                 "for a credit frame", stream_id=stream_id)
             return
+        hub = connection.hub
         claim = (connection.tenant, stream_id)
         self._note_ack(claim, int(frame.get("delivered", 0)))
         values = frame["values"]
@@ -918,8 +928,29 @@ class StreamService:
             # (before ingestion), after ingestion, or after delivery —
             # the three windows with distinct recovery obligations.
             self._fault_injector.crash_gate("pre-ingest")
+        outs = []
         try:
-            out = connection.hub.push(stream_id, values)
+            # One hub push per scanner sub-batch, the loop yielded in
+            # between ("sliced pushes" above).  An empty push is still
+            # one hub push (a finished stream refuses it).
+            batch = hub.scan_batch(stream_id)
+            for start in range(0, max(values.size, 1), batch):
+                if start:
+                    await asyncio.sleep(0)
+                    if connection.channel.peer_gone:
+                        # End as any lost connection does: the release
+                        # checkpoints what was ingested, and the
+                        # client's resume replays the rest.
+                        raise ConnectionResetError(
+                            f"{connection.name} hung up mid-push")
+                out = hub.push(stream_id, values[start:start + batch])
+                offsets = hub.offsets(stream_id)
+                # Buffer before yielding or sending: a checkpoint taken
+                # meanwhile (drain, sweep, eviction, release) persists
+                # these outputs for redelivery.
+                self._buffer_output(claim, offsets["items_out"] - out.size,
+                                    out)
+                outs.append(out)
         except ReproError:
             # A semantically failed push (finished session, quality
             # rollback, ...) must still hand its credit back, or the
@@ -931,13 +962,10 @@ class StreamService:
         self.pushes += 1
         if self._fault_injector is not None:
             self._fault_injector.crash_gate("post-ingest")
-        offsets = connection.hub.offsets(stream_id)
-        # Buffer before sending: if the transport dies mid-send, the
-        # release-time checkpoint persists these outputs for redelivery.
-        self._buffer_output(claim, offsets["items_out"] - out.size, out)
         result = {"type": "result", "op": "push",
                   "stream_id": stream_id, "seq": frame["seq"],
-                  "values": out,
+                  "values": (outs[0] if len(outs) == 1
+                             else np.concatenate(outs)),
                   "items_in": offsets["items_in"],
                   "items_out": offsets["items_out"]}
         connection.credits[stream_id] += 1
@@ -955,7 +983,7 @@ class StreamService:
         if self._checkpoint_every \
                 and self._push_counts[claim] % self._checkpoint_every == 0:
             try:
-                connection.hub.checkpoint(stream_id)
+                hub.checkpoint(stream_id)
             except ReproError as exc:
                 # A failed cadence checkpoint loses durability, not
                 # correctness: the stream stays live and a later save

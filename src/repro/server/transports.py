@@ -34,15 +34,21 @@ import asyncio
 import base64
 import hashlib
 import os
+import select
 import struct
 
 import numpy as np
 
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ProtocolError
 from repro.registry import REGISTRY
 from repro.server.protocol import MAX_FRAME_BYTES, effective_max_bytes
 
 _LENGTH_PREFIX = struct.Struct(">I")
+
+#: ``poll(2)`` events that mean the peer hung up.  ``POLLRDHUP`` (Linux)
+#: reports a FIN even while bytes sent before it wait unread; without
+#: it, only a reset shows before the reader reaches the EOF.
+_HUNG_UP = getattr(select, "POLLRDHUP", 0) | select.POLLHUP | select.POLLERR
 
 
 class TransportConnection:
@@ -55,6 +61,15 @@ class TransportConnection:
 
     #: ``"host:port"`` of the remote peer, for error messages.
     peer: str = "peer"
+
+    @property
+    def peer_gone(self) -> bool:
+        """Whether this channel has seen the peer hang up (EOF or reset).
+
+        Answers without reading: a server busy between the slices of
+        one large push checks it to stop work nobody can receive.
+        """
+        raise NotImplementedError
 
     async def read_message(self) -> "bytes | None":
         """Read one complete message body; ``None`` on clean EOF."""
@@ -104,9 +119,6 @@ class Transport:
     per-connection tuning travels through method keywords.
     """
 
-    #: Registry name (``repro serve --transport <name>``).
-    name: str = ""
-
     async def serve(self, host: str, port: int, handler, *,
                     max_bytes: int = MAX_FRAME_BYTES) -> Listener:
         """Bind and accept; ``handler(connection)`` runs per connection."""
@@ -134,6 +146,23 @@ class _StreamConnection(TransportConnection):
         self._max_bytes = effective_max_bytes(max_bytes)
         self.peer = _peer_name(writer)
 
+    @property
+    def peer_gone(self) -> bool:
+        """A reset closes the transport; an EOF counts on arrival.
+
+        Asks the socket, not the reader: a client that crashes mid-push
+        has sent its next frames already, and its EOF waits behind them
+        in the reader's buffer, or in the kernel's once the reader has
+        stopped reading at its limit.  None of them can get a result
+        (the client's resume replays them), so the server stops now.
+        """
+        transport = self._writer.transport
+        if transport.is_closing() or self._reader.at_eof():
+            return True
+        poller = select.poll()
+        poller.register(transport.get_extra_info("socket"), _HUNG_UP)
+        return bool(poller.poll(0))
+
     async def close(self) -> None:
         """Close the underlying stream, swallowing teardown races."""
         try:
@@ -155,8 +184,6 @@ class _StreamConnection(TransportConnection):
                                "(the original wire framing)")
 class TcpTransport(Transport):
     """Length-prefixed frame bodies over a plain asyncio TCP stream."""
-
-    name = "tcp"
 
     async def serve(self, host: str, port: int, handler, *,
                     max_bytes: int = MAX_FRAME_BYTES) -> Listener:
@@ -444,8 +471,6 @@ class _WebSocketConnection(_StreamConnection):
 class WebSocketTransport(Transport):
     """Frame bodies as binary WebSocket messages (RFC 6455)."""
 
-    name = "websocket"
-
     async def serve(self, host: str, port: int, handler, *,
                     max_bytes: int = MAX_FRAME_BYTES) -> Listener:
         """Start a WebSocket server: HTTP upgrade, then binary frames."""
@@ -519,11 +544,4 @@ def build_transport(name: str) -> Transport:
     plugin transport registered under ``"transport"`` is immediately
     usable by ``repro serve --transport`` and the client SDK.
     """
-    cls = REGISTRY.get("transport", name)
-    try:
-        return cls()
-    except TypeError as exc:
-        raise ReproError(
-            f"transport {name!r} is not constructible without "
-            f"arguments: {exc}"
-        ) from exc
+    return REGISTRY.get("transport", name)()

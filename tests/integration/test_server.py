@@ -1118,12 +1118,268 @@ class TestOpTimeout:
         assert np.array_equal(marked, reference)
 
 
+#: One PUSH frame of this many items is 32 scanner sub-batches at
+#: ``PARAMS``' window (``PARAMS.scan_batch`` = 512).
+BIG_PUSH = 16384
+
+
+def _archive_values(seed: int) -> np.ndarray:
+    """A stream of one big push followed by a 1,000-item tail."""
+    return TemperatureSensorGenerator(eta=60, seed=seed).generate(
+        BIG_PUSH + 1000)
+
+
+async def _until_sliced(hub, stream_id: str, client=None,
+                        frames: int = 0) -> None:
+    """Wait until the server has pushed a first sub-batch of the
+    stream into its hub (the push it serves is then under way) and
+    ``client`` has sent at least ``frames`` frames.
+
+    Polls the server thread's hub from the client's loop (plain int
+    reads), so the wait costs the server nothing.
+    """
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + 20
+    while hub.stats(stream_id)["pushes"] < 1 \
+            or (client is not None and client.frames_sent < frames):
+        assert loop.time() < deadline, "the push never reached the hub"
+        await asyncio.sleep(0.001)
+
+
+class TestSlicedPushes:
+    """A large PUSH is ingested one scanner sub-batch at a time, with
+    the serving loop yielded in between; every interleaving that opens
+    keeps outputs bit-identical and exactly-once."""
+
+    def test_sensor_push_overtakes_archive_push(self, harness):
+        """The head-of-line bound: a 256-item sensor push sent about
+        20 ms into a 16,384-item archive push on another connection is
+        answered before the archive push is."""
+        archive = _archive_values(seed=71)[:BIG_PUSH]
+        sensor = TemperatureSensorGenerator(eta=60, seed=72).generate(256)
+        host, port = harness.service.address
+
+        async def race():
+            loop = asyncio.get_running_loop()
+            done = {}
+
+            async def timed(name, session, values):
+                out = await session.feed(values)
+                done[name] = loop.time()
+                return out
+
+            async with AsyncRemoteClient(host, port, tenant="archive",
+                                         push_items=BIG_PUSH) as b, \
+                    AsyncRemoteClient(host, port, tenant="sensors") as a:
+                recording = await b.protect("rec", "1", KEY, params=PARAMS)
+                probe = await a.protect("probe", "1", KEY, params=PARAMS,
+                                        encoding="initial")
+                started = loop.time()
+                big = asyncio.ensure_future(
+                    timed("archive", recording, archive))
+                await asyncio.sleep(0.02)
+                small = await timed("sensor", probe, sensor)
+                big = await big
+                big = np.concatenate([big, await recording.finish()])
+                small = np.concatenate([small, await probe.finish()])
+            return ({name: at - started for name, at in done.items()},
+                    big, small)
+
+        done, big, small = asyncio.run(asyncio.wait_for(race(), 60))
+        assert done["sensor"] < done["archive"], done
+        assert np.array_equal(
+            big, watermark_stream(archive, "1", KEY, params=PARAMS)[0])
+        assert np.array_equal(
+            small, watermark_stream(sensor, "1", KEY, params=PARAMS,
+                                    encoding="initial")[0])
+
+    @pytest.mark.parametrize("push_items,frames",
+                             [(4096, 4), (BIG_PUSH, 3)],
+                             ids=["frames-in-flight", "reader-paused"])
+    def test_client_crash_mid_push_resumes_bit_identically(
+            self, matrix, push_items, frames):
+        """A client that crashes while the server slices its push is
+        let go at the next slice boundary, so its resume can reopen
+        the stream (else: 'already open on another connection'); the
+        replay then delivers every item exactly once.
+
+        The feed is ``frames`` frames, and the crash comes with three
+        in flight: the EOF arrives behind two unread frames.  At 4,096
+        items a frame (the client's default) they wait in the server's
+        stream reader; at 16,384 they are past its limit, so it stops
+        reading the socket and the EOF waits in the kernel.
+        """
+        harness, kwargs = matrix
+        fed = push_items * frames
+        values = TemperatureSensorGenerator(eta=60, seed=73).generate(
+            fed + 1000)
+        host, port = harness.service.address
+        hub = harness.service.hub_for("default")
+
+        async def crash_mid_push():
+            async with AsyncRemoteClient(
+                    host, port, push_items=push_items,
+                    retry=RetryPolicy(max_delay=0.05), **kwargs) as client:
+                session = await client.protect("r", "1", KEY,
+                                               params=PARAMS)
+                feed = asyncio.ensure_future(session.feed(values[:fed]))
+                # HELLO, OPEN and the three PUSHes the credits allow.
+                await _until_sliced(hub, "r", client, frames=5)
+                client.simulate_crash()
+                out = [await feed,
+                       await session.feed(values[fed:]),
+                       await session.finish()]
+                return np.concatenate(out), client.reconnects
+
+        marked, reconnects = asyncio.run(
+            asyncio.wait_for(crash_mid_push(), 60))
+        assert reconnects == 1
+        reference, _ = watermark_stream(values, "1", KEY, params=PARAMS)
+        assert np.array_equal(marked, reference)
+
+    def test_drain_mid_push_then_recover_resumes(self, harness):
+        """A drain (what SIGTERM runs) that starts between two slices
+        checkpoints a half-ingested push; a server restarted with
+        --recover over the same store resumes it bit-identically."""
+        values = _archive_values(seed=74)
+        service = harness.service
+        hub = service.hub_for("default")
+        drains, drained_at = [], []
+        push = hub.push
+
+        def push_then_drain(stream_id, chunk):
+            out = push(stream_id, chunk)
+            if hub.stats(stream_id)["pushes"] == 2:
+                drains.append(asyncio.ensure_future(service.drain()))
+            return out
+
+        checkpoint_all = service.checkpoint_all
+
+        def recording_checkpoint_all():
+            drained_at.append(hub.offsets("d")["items_in"])
+            return checkpoint_all()
+
+        hub.push = push_then_drain
+        service.checkpoint_all = recording_checkpoint_all
+        host, port = service.address
+        client = RemoteClient(host, port, push_items=BIG_PUSH,
+                              retry=PATIENT)
+        try:
+            session = client.protect("d", "1", KEY, params=PARAMS)
+            out = [session.feed(values[:BIG_PUSH])]
+            harness._call(service.serve_until_drained())
+            assert len(drains) == 1 and drains[0].done()
+            harness.restart_recovered()
+            out += [session.feed(values[BIG_PUSH:]), session.finish()]
+        finally:
+            client.close()
+        assert drained_at and 0 < drained_at[0] < BIG_PUSH, drained_at
+        assert client.reconnects >= 1
+        reference, _ = watermark_stream(values, "1", KEY, params=PARAMS)
+        assert np.array_equal(np.concatenate(out), reference)
+
+    def test_eviction_between_slices_keeps_bits(self, tmp_path):
+        """With one live session per tenant, another connection's pushes
+        evict the slicing stream between its slices; each next slice
+        restores it from the store, and both streams stay exact."""
+        server = ServerHarness(tmp_path, checkpoint_every=1, credits=3,
+                               max_live_sessions=1)
+        server.start()
+        values = _archive_values(seed=75)[:BIG_PUSH]
+        other = TemperatureSensorGenerator(eta=60, seed=76).generate(
+            256 * 400)
+        hub = server.service.hub_for("default")
+        push = hub.push
+        resident = []
+
+        def recording_push(stream_id, chunk):
+            if stream_id == "big":
+                resident.append(hub.stats("big")["live"])
+            return push(stream_id, chunk)
+
+        hub.push = recording_push
+
+        async def interleave():
+            host, port = server.service.address
+            async with AsyncRemoteClient(host, port,
+                                         push_items=BIG_PUSH) as one, \
+                    AsyncRemoteClient(host, port) as two:
+                big = await one.protect("big", "1", KEY, params=PARAMS)
+                small = await two.protect("small", "1", KEY,
+                                          params=PARAMS, encoding="initial")
+                feed = asyncio.ensure_future(big.feed(values))
+                small_out, fed = [], 0
+                while not feed.done() and fed < other.size:
+                    small_out.append(
+                        await small.feed(other[fed:fed + 256]))
+                    fed += 256
+                big_out = np.concatenate([await feed, await big.finish()])
+                small_out.append(await small.finish())
+            return big_out, np.concatenate(small_out), fed
+
+        try:
+            big_out, small_out, fed = asyncio.run(
+                asyncio.wait_for(interleave(), 60))
+        finally:
+            server.drain()
+            server.stop()
+        assert len(resident) == BIG_PUSH // PARAMS.scan_batch
+        assert not all(resident[1:]), "never evicted between slices"
+        assert np.array_equal(
+            big_out, watermark_stream(values, "1", KEY, params=PARAMS)[0])
+        assert np.array_equal(
+            small_out, watermark_stream(other[:fed], "1", KEY,
+                                        params=PARAMS,
+                                        encoding="initial")[0])
+
+    def test_status_mid_push_sees_a_partial_push(self, harness):
+        """A STATUS from another connection is answered between two
+        slices: before the push's RESULT, with the stream part-way
+        through it and the frame not yet counted."""
+        values = _archive_values(seed=77)[:BIG_PUSH]
+        host, port = harness.service.address
+        hub = harness.service.hub_for("default")
+
+        async def status_mid_push():
+            async with AsyncRemoteClient(host, port,
+                                         push_items=BIG_PUSH) as pusher, \
+                    AsyncRemoteClient(host, port) as watcher:
+                session = await pusher.protect("s", "1", KEY,
+                                               params=PARAMS)
+                feed = asyncio.ensure_future(session.feed(values))
+                await _until_sliced(hub, "s")
+                snapshot = await watcher.status()
+                answered_first = not feed.done()
+                out = np.concatenate([await feed, await session.finish()])
+            return snapshot, answered_first, out
+
+        snapshot, answered_first, out = asyncio.run(
+            asyncio.wait_for(status_mid_push(), 60))
+        assert answered_first
+        stream = snapshot["tenants"]["default"]["stats"]["s"]
+        assert 0 < stream["items_in"] < BIG_PUSH, stream
+        assert stream["pushes"] == stream["items_in"] // PARAMS.scan_batch
+        assert snapshot["server"]["pushes"] == 0
+        assert np.array_equal(
+            out, watermark_stream(values, "1", KEY, params=PARAMS)[0])
+
+
 class TestTaskBudget:
     def test_tasks_per_connection_do_not_grow_with_pushes(self, harness):
-        """Serving 200 pushes creates no asyncio task per frame or per
-        read, on the server or on the client, and leaves no timer of
-        any read behind."""
-        pushes, chunk = 200, 64
+        """Serving many pushes creates no asyncio task per frame, per
+        read or per slice, on the server or on the client, and leaves
+        no timer of any read behind: 200 pushes of one sub-batch, then
+        20 pushes of three."""
+        for pushes, chunk in ((200, 64), (20, 2 * PARAMS.scan_batch + 76)):
+            grown = self._serve(harness, f"tasks-{chunk}", pushes, chunk)
+            assert grown["server"] <= 2, (chunk, grown)
+            assert grown["client"] <= 2, (chunk, grown)
+            assert grown["timers"] <= 0 and grown["server_timers"] <= 0, \
+                (chunk, grown)
+
+    @staticmethod
+    def _serve(harness, stream_id: str, pushes: int, chunk: int) -> dict:
+        """Tasks and timers created while serving ``pushes`` pushes."""
         values = TemperatureSensorGenerator(eta=60, seed=67).generate(
             (pushes + 1) * chunk)
         created = {"server": 0, "client": 0}
@@ -1145,7 +1401,7 @@ class TestTaskBudget:
             loop.set_task_factory(counting("client"))
             async with AsyncRemoteClient(*harness.service.address,
                                          push_items=chunk) as client:
-                session = await client.protect("tasks", "1", KEY,
+                session = await client.protect(stream_id, "1", KEY,
                                                params=PARAMS)
                 await session.feed(values[:chunk])
                 timers = (len(_live_timers(loop)),
@@ -1164,12 +1420,9 @@ class TestTaskBudget:
 
         harness._call(set_factory(counting("server")))
         try:
-            grown = asyncio.run(asyncio.wait_for(serve_pushes(), 60))
+            return asyncio.run(asyncio.wait_for(serve_pushes(), 60))
         finally:
             harness._call(set_factory(None))
-        assert grown["server"] <= 2, grown
-        assert grown["client"] <= 2, grown
-        assert grown["timers"] <= 0 and grown["server_timers"] <= 0, grown
 
 
 class TestServeJsonLifecycle:

@@ -397,6 +397,7 @@ class _FakeChannel:
         self.inbox = []
         self.aborted = False
         self.closed = False
+        self.peer_gone = False
 
     async def read_message(self):
         return self.inbox.pop(0) if self.inbox else None
@@ -444,6 +445,16 @@ class TestChaosChannel:
         with pytest.raises(ConnectionResetError):
             asyncio.run(channel.read_message())
         assert inner.aborted
+
+    def test_peer_gone_after_an_injected_reset_or_the_inners(self):
+        channel, inner = _chaos_channel(1, reset_rate=1.0)
+        assert not channel.peer_gone
+        inner.peer_gone = True
+        assert channel.peer_gone
+        inner.peer_gone = False
+        with pytest.raises(ConnectionResetError):
+            asyncio.run(channel.write_message(b"ping"))
+        assert channel.peer_gone
 
     def test_write_drop_swallows_the_message(self):
         channel, inner = _chaos_channel(1, drop_rate=1.0)

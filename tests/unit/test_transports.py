@@ -335,6 +335,54 @@ class TestHardFrameCap:
         assert run(scenario()) == b"{" + b"}" * 63
 
 
+class TestPeerGone:
+    """``peer_gone`` answers without a read: a server busy with one
+    push learns that its client hung up, even while messages the
+    client sent before hanging up wait unread."""
+
+    @pytest.mark.parametrize("transport", [TcpTransport,
+                                           WebSocketTransport])
+    @pytest.mark.parametrize("hang_up", ["abort", "close"])
+    @pytest.mark.parametrize("unread", [[b"unread"], [bytes(100_000)] * 2],
+                             ids=["buffered", "reader-paused"])
+    def test_server_channel_sees_the_hang_up(self, transport, hang_up,
+                                             unread):
+        """200 kB unread are past the stream reader's limit, so it
+        stops reading the socket: the EOF then waits in the kernel."""
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            alive, seen = loop.create_future(), loop.create_future()
+
+            async def serve(connection):
+                await connection.read_message()
+                alive.set_result(connection.peer_gone)
+                deadline = loop.time() + 5
+                while not connection.peer_gone and loop.time() < deadline:
+                    await asyncio.sleep(0.005)
+                gone = connection.peer_gone
+                left = [await connection.read_message() for _ in unread]
+                seen.set_result((gone, left, await connection.read_message()))
+                await connection.close()
+
+            listener = await transport().serve("127.0.0.1", 0, serve)
+            client = await transport().connect(*listener.address)
+            await client.write_messages([b"hello", *unread])
+            before = await alive
+            if hang_up == "abort":
+                # An abort drops what the kernel has not taken yet.
+                while client._writer.transport.get_write_buffer_size():
+                    await asyncio.sleep(0.001)
+                client.abort()
+            else:
+                await client.close()
+            after = await seen
+            listener.close()
+            await listener.wait_closed()
+            return before, after
+
+        assert run(scenario()) == (False, (True, unread, None))
+
+
 async def _ws_scripted_server(*payloads: bytes):
     """A raw TCP server that completes the upgrade then replays
     ``payloads`` verbatim — hostile-server scenarios for the client."""
