@@ -16,9 +16,9 @@ The public API has two layers:
   :class:`CheckpointStore` backends and recovering bit-identically
   after a crash; :mod:`repro.server` serves hubs over TCP (``repro
   serve``) with a framed protocol, credit-based flow control and a
-  reconnect-and-resume client SDK; every pluggable component
-  (encodings, transforms, attacks, generators, transports) resolves by
-  name through the central :data:`REGISTRY`.
+  reconnect-and-resume client SDK; :data:`REGISTRY` indexes the
+  named components (encodings, transforms, attacks, generators,
+  transports).
 * **Offline conveniences** (paper-experiment face):
   :func:`watermark_stream`, :func:`detect_watermark` and
   :func:`detect_best` over in-memory arrays — thin wrappers over the
@@ -78,7 +78,6 @@ from repro.errors import (
     ParameterError,
     ProtocolError,
     QualityConstraintViolated,
-    RegistryError,
     RemoteError,
     ReproError,
     SessionStateError,
@@ -90,7 +89,7 @@ from repro.pipeline import (
     ProtectionSession,
     session_from_state,
 )
-from repro.registry import REGISTRY, ComponentRegistry
+from repro.registry import REGISTRY
 from repro.stores import (
     CheckpointStore,
     DirectoryCheckpointStore,
@@ -125,7 +124,6 @@ __all__ = [
     "NormalizationError",
     "ParameterError",
     "QualityConstraintViolated",
-    "RegistryError",
     "ReproError",
     "SessionStateError",
     "StreamError",
@@ -143,7 +141,6 @@ __all__ = [
     "DirectoryCheckpointStore",
     "MemoryCheckpointStore",
     "REGISTRY",
-    "ComponentRegistry",
     "Normalizer",
     "KeyedHasher",
     "__version__",

@@ -15,9 +15,8 @@ test-suite and benchmarks demonstrate the resilience claims:
   (every a1-th extreme, ratio a2 of its radius-a3 subset);
 * :mod:`repro.attacks.suite` — a gauntlet runner for examples/benches.
 
-Stream-mangling attacks also register *builders* with the central
-:class:`repro.registry.ComponentRegistry` under kind ``"attack"``
-(options in, ``values -> values`` callable out), which is how the
+:data:`ATTACKS` names a *builder* per stream-mangling attack (options
+in, ``values -> values`` callable out), which is how the
 :class:`AttackSuite` and the ``repro attack`` CLI resolve them by name.
 """
 
@@ -29,7 +28,6 @@ from repro.attacks.correlation import CorrelationAttackReport, correlation_attac
 from repro.attacks.epsilon import epsilon_attack
 from repro.attacks.extreme_attack import targeted_extreme_attack
 from repro.attacks.suite import AttackOutcome, AttackSuite
-from repro.registry import REGISTRY
 
 __all__ = [
     "additive_attack",
@@ -44,11 +42,8 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# registry builders: options in, `values -> values` callable out
+# builders: options in, `values -> values` callable out
 # ----------------------------------------------------------------------
-@REGISTRY.register("attack", "epsilon",
-                   description="(A6) epsilon-attack: alter a `tau` "
-                               "fraction of items by up to `epsilon`")
 def _build_epsilon(tau: float = 0.1, epsilon: float = 0.1, mu: float = 0.0,
                    rng=None):
     """Builder for the uninformed random-alteration attack."""
@@ -58,9 +53,6 @@ def _build_epsilon(tau: float = 0.1, epsilon: float = 0.1, mu: float = 0.0,
     return apply
 
 
-@REGISTRY.register("attack", "additive",
-                   description="(A5) insert a `fraction` of plausible "
-                               "fabricated values")
 def _build_additive(fraction: float = 0.1, rng=None):
     """Builder for the bounded-insertion attack."""
     def apply(values):
@@ -68,9 +60,6 @@ def _build_additive(fraction: float = 0.1, rng=None):
     return apply
 
 
-@REGISTRY.register("attack", "extreme-targeted",
-                   description="Sec-5 targeted model: every `a1`-th "
-                               "extreme, ratio `a2` of its subset")
 def _build_extreme_targeted(a1: int = 5, a2: float = 0.5, rng=None):
     """Builder for the targeted extreme-alteration attack."""
     def apply(values):
@@ -78,3 +67,16 @@ def _build_extreme_targeted(a1: int = 5, a2: float = 0.5, rng=None):
                                                     rng=rng)
         return attacked
     return apply
+
+
+#: ``name -> (builder, description)``, in ``repro list`` order.
+ATTACKS = {
+    "epsilon": (_build_epsilon,
+                "(A6) epsilon-attack: alter a `tau` fraction of items by "
+                "up to `epsilon`"),
+    "additive": (_build_additive,
+                 "(A5) insert a `fraction` of plausible fabricated values"),
+    "extreme-targeted": (_build_extreme_targeted,
+                         "Sec-5 targeted model: every `a1`-th extreme, "
+                         "ratio `a2` of its subset"),
+}

@@ -5,10 +5,9 @@ per-attack results to ``benchmarks/results/``.  One watermarked stream
 goes in, a dict of attacked variants comes out, and the caller detects
 against each.
 
-The battery itself carries no attack code: every entry names a component
-registered with the central :class:`repro.registry.ComponentRegistry`
-(kind ``"attack"`` or ``"transform"``) plus its options, so a newly
-registered attack can join a gauntlet without touching this module.
+The battery itself carries no attack code: every entry names a builder
+in :data:`repro.attacks.ATTACKS` or :data:`repro.transforms.TRANSFORMS`
+plus its options.
 """
 
 from __future__ import annotations
@@ -20,10 +19,10 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.registry import REGISTRY
+from repro.registry import entry
 from repro.util.rng import make_rng, split_rng
 
-#: The default battery: (name, registry kind, component, options, description)
+#: The default battery: (name, kind, component, options, description)
 #: covering A1, A2, A3, A5, A6 and the Sec-5 targeted model.
 DEFAULT_BATTERY = (
     ("sampling-4", "transform", "sample", {"degree": 4},
@@ -66,29 +65,31 @@ class AttackSuite:
     def __init__(self, seed: "int | None" = 2004,
                  include: "list[str] | None" = None) -> None:
         self._seed = seed
-        self._registry: dict[str, tuple[str, Callable]] = {}
-        self._register_defaults()
-        if include is not None:
-            unknown = set(include) - set(self._registry)
-            if unknown:
-                raise ParameterError(f"unknown attacks: {sorted(unknown)}")
-            self._registry = {k: v for k, v in self._registry.items()
-                              if k in include}
-
-    def _register_defaults(self) -> None:
-        self._registry = {}
+        self._entries: dict[str, tuple[str, Callable]] = {}
         for name, kind, component, options, description in DEFAULT_BATTERY:
             self.add(name, kind, component, options, description)
+        if include is not None:
+            unknown = set(include) - set(self._entries)
+            if unknown:
+                raise ParameterError(f"unknown attacks: {sorted(unknown)}")
+            self._entries = {k: v for k, v in self._entries.items()
+                             if k in include}
 
     def add(self, name: str, kind: str, component: str,
             options: "dict | None" = None, description: str = "") -> None:
-        """Append one registry-resolved entry to this gauntlet.
+        """Append one entry to this gauntlet.
 
-        ``options`` are passed to the registered builder; builders with
-        an ``rng`` parameter additionally receive the per-run child RNG
-        that makes the gauntlet reproducible.
+        ``component`` names a builder of ``kind`` (``"attack"`` or
+        ``"transform"``); ``options`` are passed to it, and builders
+        with an ``rng`` parameter additionally receive the per-run
+        child RNG that makes the gauntlet reproducible.
         """
-        builder = REGISTRY.get(kind, component)
+        # Imported here: the attacks package imports this module first.
+        from repro.attacks import ATTACKS
+        from repro.transforms import TRANSFORMS
+
+        tables = {"attack": ATTACKS, "transform": TRANSFORMS}
+        builder = entry(kind, tables[kind], component)
         opts = dict(options or {})
         accepts_rng = "rng" in inspect.signature(builder).parameters
 
@@ -98,21 +99,21 @@ class AttackSuite:
                 resolved["rng"] = rng
             return np.asarray(builder(**resolved)(values))
 
-        self._registry[name] = (description, run)
+        self._entries[name] = (description, run)
 
     @property
     def names(self) -> list[str]:
-        """Registered attack identifiers, in execution order."""
-        return list(self._registry)
+        """Attack identifiers, in execution order."""
+        return list(self._entries)
 
     def run(self, values) -> list[AttackOutcome]:
-        """Apply every registered attack to an independent copy."""
+        """Apply every attack of the battery to an independent copy."""
         array = np.asarray(values, dtype=np.float64)
         master = make_rng(self._seed)
-        children = split_rng(master, len(self._registry))
+        children = split_rng(master, len(self._entries))
         outcomes: list[AttackOutcome] = []
         for (name, (description, attack)), child in zip(
-                self._registry.items(), children):
+                self._entries.items(), children):
             outcomes.append(AttackOutcome(
                 name=name, values=np.asarray(attack(array.copy(), child)),
                 description=description))

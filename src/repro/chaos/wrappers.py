@@ -25,7 +25,6 @@ import asyncio
 
 from repro.chaos.plan import FaultInjector, StoreFaults, TransportFaults
 from repro.errors import CheckpointStoreError
-from repro.server.protocol import MAX_FRAME_BYTES
 from repro.server.transports import Listener, Transport, TransportConnection
 from repro.stores import CheckpointStore
 
@@ -195,20 +194,16 @@ class ChaosTransport(Transport):
         self._faults = (injector.plan.server_transport if side == "server"
                         else injector.plan.client_transport)
 
-    async def serve(self, host: str, port: int, handler, *,
-                    max_bytes: int = MAX_FRAME_BYTES) -> Listener:
+    async def serve(self, host: str, port: int, handler) -> Listener:
         """Serve via the inner transport, wrapping accepted channels."""
         async def chaotic_handler(connection: TransportConnection):
             await handler(ChaosChannel(connection, self._injector,
                                        self._faults,
                                        site=f"{self._side}.transport"))
 
-        return await self._inner.serve(host, port, chaotic_handler,
-                                       max_bytes=max_bytes)
+        return await self._inner.serve(host, port, chaotic_handler)
 
-    async def connect(self, host: str, port: int, *,
-                      max_bytes: int = MAX_FRAME_BYTES
-                      ) -> TransportConnection:
+    async def connect(self, host: str, port: int) -> TransportConnection:
         """Dial via the inner transport (dials themselves may fail)."""
         site = f"{self._side}.transport"
         if self._injector.connect_fault(site + ".connect", self._faults):
@@ -216,8 +211,7 @@ class ChaosTransport(Transport):
                                   port=port)
             raise ConnectionRefusedError(
                 f"chaos: injected dial failure to {host}:{port}")
-        connection = await self._inner.connect(host, port,
-                                               max_bytes=max_bytes)
+        connection = await self._inner.connect(host, port)
         return ChaosChannel(connection, self._injector, self._faults,
                             site=site)
 

@@ -7,8 +7,8 @@ A thin, scriptable wrapper over the library for the Fig-1 workflow:
 * ``attack``  — apply a named transform/attack (for experimentation);
 * ``info``    — stream statistics relevant to parameter tuning
   (measured η(σ, δ), extremes, subset sizes);
-* ``list``    — enumerate every registered component (encodings,
-  transforms, attacks, generators);
+* ``list``    — enumerate every named component (encodings,
+  transforms, attacks, generators, transports);
 * ``hub``     — multi-tenant streaming: ``hub embed`` watermarks many
   CSV streams through one :class:`repro.hub.StreamHub` with durable
   checkpoints, ``hub resume`` recovers a crashed run from the store and
@@ -37,10 +37,8 @@ deterministic faults from a :class:`repro.chaos.FaultPlan` file
 respectively); ``remote`` and ``loadgen`` accept ``--retry-*`` flags
 shaping the client's :class:`repro.chaos.RetryPolicy`.
 
-All component names — encoding choices, attack/transform kinds — resolve
-through the central :class:`repro.registry.ComponentRegistry`; a newly
-registered component is immediately usable here without editing this
-module.
+Component names — encoding choices, attack/transform kinds — come from
+the per-kind tables that :data:`repro.registry.REGISTRY` indexes.
 
 Values are exchanged as single-column CSV (see ``repro.streams.io``);
 the secret key is taken from ``--key`` or the ``REPRO_KEY`` environment
@@ -192,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(attack, needs_key=False)
     attack.add_argument("output", help="output CSV path")
     attack.add_argument("--kind", required=True, metavar="NAME",
-                        help="registered attack or transform name "
+                        help="attack or transform name "
                              "(see `repro list`); 'sample' accepts "
                              "--degree, 'epsilon' accepts --tau/--epsilon, "
                              "...")
@@ -217,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(info, needs_key=False)
 
     list_parser = sub.add_parser(
-        "list", help="enumerate registered components")
+        "list", help="enumerate the named components")
     list_parser.add_argument("--kind", default=None,
                              choices=REGISTRY.KINDS,
                              help="restrict to one component kind")
@@ -281,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=7707,
                        help="bind port; 0 picks a free one (default 7707)")
     serve.add_argument("--transport", default="tcp", metavar="NAME",
-                       help="registered transport to listen on "
+                       help="transport to listen on "
                             "(see `repro list`; default 'tcp')")
     serve.add_argument("--store", default=None,
                        help="root directory for durable per-tenant "
@@ -498,8 +496,8 @@ def _cmd_attack(args) -> int:
     values = _load(args)
     # Transforms shadow attacks on a name collision, so one name always
     # means one component.
-    registration = REGISTRY.find(args.kind, kinds=("transform", "attack"))
-    builder = registration.obj
+    component_kind, builder = REGISTRY.find(args.kind,
+                                            kinds=("transform", "attack"))
     # Offer every CLI tuning flag; the builder takes what it understands.
     candidates = {
         "degree": args.degree,
@@ -518,8 +516,8 @@ def _cmd_attack(args) -> int:
                if name in accepted and value is not None}
     out = _denormalize(args, np.asarray(builder(**options)(values)))
     save_stream_csv(args.output, out)
-    print(json.dumps({"kind": registration.name,
-                      "component_kind": registration.kind,
+    print(json.dumps({"kind": args.kind,
+                      "component_kind": component_kind,
                       "input_items": len(values),
                       "output_items": len(out)}, indent=2))
     return 0

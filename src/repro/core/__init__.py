@@ -38,7 +38,7 @@ from repro.core.detector import (
     detect_watermark,
 )
 from repro.core.embedder import EmbedReport, StreamWatermarker, watermark_stream
-from repro.core.encoding_factory import build_encoding
+from repro.core.encoding_factory import ENCODING_NAMES, build_encoding
 from repro.core.encoding_initial import EmbedOutcome, InitialEncoding, Vote
 from repro.core.encoding_multihash import (
     MultihashEncoding,
@@ -152,11 +152,3 @@ __all__ = [
     "to_bits",
 ]
 
-
-def __getattr__(name: str):
-    # ENCODING_NAMES stays lazy (PEP 562): resolving it populates the
-    # component registry, which must not happen on every core import.
-    if name == "ENCODING_NAMES":
-        from repro.core.encoding_factory import ENCODING_NAMES
-        return ENCODING_NAMES
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,10 +1,8 @@
-"""Bit-encoding strategy construction, resolved through the registry.
+"""Bit-encoding strategy construction from the :data:`ENCODINGS` table.
 
 The embedder and detector accept either a strategy *name* or a pre-built
-strategy object; names resolve through the central
-:class:`repro.registry.ComponentRegistry`, so a newly registered
-encoding is immediately constructible here (and visible to the CLI)
-without touching this module.  Strategies share the interface::
+strategy object; names resolve through :data:`ENCODINGS`, the paper's
+three encodings (Secs 3.2 and 4.3).  Strategies share the interface::
 
     embed(q_subset, extreme_offset, label, bit)  -> EmbedOutcome
     detect(float_subset, extreme_offset, label)  -> Vote
@@ -17,24 +15,24 @@ from repro.core.encoding_multihash import MultihashEncoding
 from repro.core.encoding_quadres import QuadResEncoding
 from repro.core.params import WatermarkParams
 from repro.core.quantize import Quantizer
-from repro.errors import ParameterError, RegistryError
-from repro.registry import REGISTRY
+from repro.errors import ParameterError
+from repro.registry import entry
 from repro.util.hashing import KeyedHasher
 
-REGISTRY.add("encoding", "multihash", MultihashEncoding,
-             description="Sec-4.3 multi-hash convention over subset "
-                         "averages (default; survives summarization)")
-REGISTRY.add("encoding", "initial", InitialEncoding,
-             description="Sec-3.2 guarded single-bit encoding of the "
-                         "extreme value")
-REGISTRY.add("encoding", "quadres", QuadResEncoding,
-             description="quadratic-residue prefix encoding "
-                         "(epsilon-robust value convention)")
+#: ``name -> (strategy class, description)``.
+ENCODINGS = {
+    "multihash": (MultihashEncoding,
+                  "Sec-4.3 multi-hash convention over subset averages "
+                  "(default; survives summarization)"),
+    "initial": (InitialEncoding,
+                "Sec-3.2 guarded single-bit encoding of the extreme value"),
+    "quadres": (QuadResEncoding,
+                "quadratic-residue prefix encoding "
+                "(epsilon-robust value convention)"),
+}
 
-
-def encoding_names() -> "tuple[str, ...]":
-    """Registered encoding names (registry-backed, never hard-coded)."""
-    return REGISTRY.names("encoding")
+#: The encoding names, in table order.
+ENCODING_NAMES = tuple(ENCODINGS)
 
 
 def build_encoding(encoding, params: WatermarkParams, quantizer: Quantizer,
@@ -44,9 +42,9 @@ def build_encoding(encoding, params: WatermarkParams, quantizer: Quantizer,
     Options are forwarded to the strategy constructor, e.g.
     ``build_encoding("multihash", ..., method="random")`` or
     ``build_encoding("initial", ..., use_label_positions=False)``.  An
-    option the constructor does not accept raises
-    :class:`ParameterError`, like an unknown name: options can arrive
-    from outside the program (an OPEN frame, a checkpoint).
+    unknown name, or an option the constructor does not accept, raises
+    :class:`ParameterError`: both can arrive from outside the program
+    (an OPEN frame, a checkpoint).
     """
     if not isinstance(encoding, str):
         required = ("embed", "detect")
@@ -56,24 +54,9 @@ def build_encoding(encoding, params: WatermarkParams, quantizer: Quantizer,
             f"encoding object {encoding!r} lacks the strategy interface "
             f"{required}"
         )
-    try:
-        strategy_cls = REGISTRY.get("encoding", encoding)
-    except RegistryError as exc:
-        # Keep the historical ParameterError contract at this boundary
-        # (RegistryError is also a ValueError, but callers catch
-        # ParameterError specifically).
-        raise ParameterError(str(exc)) from None
+    strategy_cls = entry("encoding", ENCODINGS, encoding)
     try:
         return strategy_cls(params, quantizer, hasher, **options)
     except TypeError as exc:
         raise ParameterError(
             f"bad options for encoding {encoding!r}: {exc}") from None
-
-
-def __getattr__(name: str):
-    # Backward-compatible ENCODING_NAMES, resolved lazily (PEP 562) so
-    # importing this module does not force registry population (which
-    # would eagerly import every provider module on any core import).
-    if name == "ENCODING_NAMES":
-        return encoding_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

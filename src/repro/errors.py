@@ -59,22 +59,13 @@ class DetectionError(ReproError):
     """The detector was asked for results it cannot produce."""
 
 
-class RegistryError(ReproError, ValueError):
-    """A component registry lookup or registration failed.
-
-    Raised on duplicate registration of a (kind, name) pair and on
-    lookups of unknown names; the lookup message always lists the valid
-    names so typos are self-correcting at the call site.
-    """
-
-
 class SessionStateError(ReproError):
     """A session checkpoint could not be produced or restored.
 
     Raised by :meth:`repro.pipeline.ProtectionSession.to_state` /
     ``from_state`` (and the detection counterparts) when the session
     configuration is not serializable (e.g. a strategy *object* instead
-    of a registered encoding name) or a state dict is malformed.
+    of an encoding name) or a state dict is malformed.
     """
 
 

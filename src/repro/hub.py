@@ -244,8 +244,8 @@ class StreamHub:
 
         ``session_kwargs`` are forwarded to
         :class:`~repro.pipeline.ProtectionSession` (``params``,
-        ``encoding``, ...).  The encoding must be a registered *name*
-        for the stream to be checkpointable.
+        ``encoding``, ...).  The encoding must be a *name* for the
+        stream to be checkpointable.
         """
         self._adopt(stream_id,
                     ProtectionSession(watermark, key, **session_kwargs),

@@ -155,8 +155,8 @@ class ProtectionSession:
     chunks go in via :meth:`feed`, watermarked chunks come out (delayed
     by at most the finite window), :meth:`finish` drains the tail.
 
-    Parameters mirror :class:`StreamWatermarker`; ``encoding`` must be a
-    registered encoding *name* for the session to be checkpointable
+    Parameters mirror :class:`StreamWatermarker`; ``encoding`` must be an
+    encoding *name* for the session to be checkpointable
     (strategy objects cannot be serialized).
     """
 

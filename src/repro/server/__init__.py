@@ -7,9 +7,9 @@ service (the SecureStreams / Gabriel middleware shape):
   (HELLO/OPEN/PUSH/FLUSH/RESULT/CREDIT/ERROR/STATUS/BYE) with strict
   decode validation and one binary frame codec: struct-packed bodies
   with raw little-endian float64 payloads;
-* :mod:`repro.server.transports` — pluggable message transports
-  (``tcp`` length-prefixed streams, ``websocket`` RFC 6455) registered
-  under the ``transport`` registry kind;
+* :mod:`repro.server.transports` — the message transports
+  (``tcp`` length-prefixed streams, ``websocket`` RFC 6455), named in
+  its ``TRANSPORTS`` table;
 * :mod:`repro.server.service` — a transport-blind asyncio server
   multiplexing one :class:`~repro.hub.StreamHub` per tenant namespace
   with credit-based per-stream flow control, periodic checkpointing

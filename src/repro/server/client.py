@@ -203,8 +203,8 @@ class AsyncRemoteClient:
         Maximum items per PUSH frame; larger chunks are split and
         pipelined inside the server's credit window.
     transport:
-        Registered transport name (``tcp``, ``websocket``, or a
-        plugin); must match what the server listens on.
+        Transport name (``tcp`` or ``websocket``); must match what
+        the server listens on.
     fault_injector:
         Optional :class:`~repro.chaos.FaultInjector` (``repro loadgen
         --chaos``): when its plan has client transport faults, every
@@ -360,13 +360,8 @@ class AsyncRemoteClient:
         last_error: "Exception | None" = None
         loop = asyncio.get_running_loop()
         started = loop.time()
-        # The full retry budget exists to ride out a server restart
-        # without losing stream state; with no sessions yet there is no
-        # state to protect, so an unreachable server fails fast.
-        attempts = policy.attempts if self._sessions \
-            else min(policy.attempts, 4)
-        exhausted = f"{attempts} attempts"
-        for attempt in range(attempts):
+        exhausted = f"{policy.attempts} attempts"
+        for attempt in range(policy.attempts):
             if attempt:
                 delay = policy.backoff_delay(attempt - 1)
                 if policy.deadline is not None:

@@ -1,4 +1,4 @@
-"""Wire protocol: binary frames over pluggable transports.
+"""Wire protocol: binary frames over the transports.
 
 Every message on a ``repro.server`` connection is one **frame**.  How a
 frame becomes bytes is the job of the one frame codec,
@@ -74,23 +74,11 @@ from repro.errors import ProtocolError
 #: JSON frame encoding of version 1: every frame is binary.
 PROTOCOL_VERSION = 2
 
-#: Default upper bound on one frame body, in bytes.  At 8 MiB a frame
-#: holds ~1M float64 items — far beyond a sane chunk — so anything
-#: larger is a corrupt or hostile length prefix.
+#: Upper bound on one frame body, in bytes, for the codec and every
+#: transport.  At 8 MiB a frame holds ~1M float64 items — far beyond a
+#: sane chunk — so anything larger is a corrupt or hostile length
+#: prefix, rejected before its body is buffered.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
-
-#: Absolute ceiling on any declared frame size, regardless of how large
-#: a caller sets its ``max_bytes``.  A hostile peer declaring a huge
-#: length must hit a clean :class:`ProtocolError` *before* any body
-#: buffering can grow toward an OOM — even on a transport misconfigured
-#: with an enormous limit.
-HARD_MAX_FRAME_BYTES = 64 * 1024 * 1024
-
-
-def effective_max_bytes(max_bytes: int) -> int:
-    """The enforced frame-size cap: ``max_bytes`` clamped to the hard
-    ceiling (:data:`HARD_MAX_FRAME_BYTES`)."""
-    return min(int(max_bytes), HARD_MAX_FRAME_BYTES)
 
 
 #: Per-frame-type field contract: (required, optional).  Unknown fields
@@ -323,8 +311,7 @@ class BinaryFrameCodec:
     :class:`ProtocolError`.
     """
 
-    def encode(self, frame: dict, *,
-               max_bytes: int = MAX_FRAME_BYTES) -> bytes:
+    def encode(self, frame: dict) -> bytes:
         """Serialize one frame to its binary body bytes."""
         validate_frame(frame, source="encode")
         values = frame.get("values")
@@ -342,11 +329,10 @@ class BinaryFrameCodec:
         body = (_BINARY_HEADER.pack(_TYPE_CODES[frame["type"]], flags,
                                     len(meta_bytes))
                 + meta_bytes + payload)
-        limit = effective_max_bytes(max_bytes)
-        if len(body) > limit:
+        if len(body) > MAX_FRAME_BYTES:
             raise ProtocolError(
-                f"frame of {len(body)} bytes exceeds the {limit}-byte "
-                "frame limit; push smaller chunks"
+                f"frame of {len(body)} bytes exceeds the "
+                f"{MAX_FRAME_BYTES}-byte frame limit; push smaller chunks"
             )
         return body
 

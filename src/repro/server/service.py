@@ -6,9 +6,9 @@ stream sources behind one endpoint, each tenant namespace backed by
 its own :class:`~repro.hub.StreamHub` and
 :class:`~repro.stores.CheckpointStore`.  The engine never touches
 sockets: it exchanges frame bodies through a named
-:class:`~repro.server.transports.Transport` (``tcp``, ``websocket``,
-or any plugin registered under the ``transport`` registry kind), and
-every frame is encoded by the one binary codec
+:class:`~repro.server.transports.Transport` (``tcp`` or ``websocket``,
+from :data:`~repro.server.transports.TRANSPORTS`), and every frame is
+encoded by the one binary codec
 (:class:`~repro.server.protocol.BinaryFrameCodec`, raw float64
 payloads).
 
@@ -30,8 +30,9 @@ Design points:
   ``pushes`` count PUSH frames.
 * **durability** — sessions checkpoint on a per-stream push cadence
   (``checkpoint_every``), on an optional wall-clock interval, when a
-  connection ends, and during drain.  Keys arrive in OPEN frames and
-  live only in process memory.
+  connection ends, and during drain; a failed save is counted and
+  logged, and the other streams' saves go on.  Keys arrive in OPEN
+  frames and live only in process memory.
 * **exactly-once outputs** — result payloads a client has not yet
   acknowledged (the ``delivered`` field on its frames) are kept in a
   bounded per-stream replay buffer, persisted in a sidecar entry
@@ -375,14 +376,7 @@ class StreamService:
             await asyncio.gather(*loops, return_exceptions=True)
             if self._listener is not None:
                 self._listener.close()
-            try:
-                self.checkpoint_all()
-            except ReproError:
-                # A failing store (full disk, ...) must not leave the
-                # server unkillable: clients are still notified and the
-                # listener still closes.  Cadence checkpoints are the
-                # durability backstop.
-                self.errors += 1
+            self.checkpoint_all()
             for connection in self._connections:
                 if connection.waiting:
                     connection.arm_grace()
@@ -401,10 +395,36 @@ class StreamService:
                 self._drain_seconds)
             self._drained.set()
 
-    def checkpoint_all(self) -> "dict[str, dict[str, int]]":
-        """Checkpoint every stream of every tenant hub now."""
-        return {tenant: hub.checkpoint_all()
-                for tenant, hub in self._hubs.items()}
+    def checkpoint_all(self) -> None:
+        """Checkpoint every stream of every tenant hub now.
+
+        One failed save does not end the sweep: :meth:`_checkpoint`
+        counts it and the other streams still land.
+        """
+        for tenant, hub in self._hubs.items():
+            for stream_id in hub.stream_ids:
+                self._checkpoint(tenant, hub, stream_id)
+
+    def _checkpoint(self, tenant: str, hub: StreamHub,
+                    stream_id: str) -> None:
+        """Checkpoint one stream; every checkpoint the service starts
+        (push cadence, disconnect, interval sweep, drain) comes here.
+
+        A failed checkpoint loses durability, not correctness: the
+        stream stays live and a later save (or crash recovery from the
+        previous generation) covers the gap.  Count it, shout, and go
+        on — failing the stream would kill a healthy stream over a
+        transient disk hiccup, and failing a sweep or a drain would
+        leave the other streams unsaved.
+        """
+        try:
+            hub.checkpoint(stream_id)
+        except ReproError as exc:
+            self.errors += 1
+            self._m_checkpoint_failures.inc()
+            logger.warning(
+                "checkpoint for %s/%s failed (serving continues, "
+                "durability lags one cadence): %s", tenant, stream_id, exc)
 
     def status(self) -> dict:
         """Operator snapshot: what this server speaks and has served.
@@ -627,12 +647,7 @@ class StreamService:
     async def _checkpoint_loop(self) -> None:
         while True:
             await asyncio.sleep(self._checkpoint_interval)
-            try:
-                self.checkpoint_all()
-            except ReproError:
-                # A single failed sweep (e.g. full disk) must not kill
-                # the server; the next cadence checkpoint retries.
-                self.errors += 1
+            self.checkpoint_all()
 
     # ------------------------------------------------------------------
     # connection handling
@@ -801,10 +816,7 @@ class StreamService:
             hub = self._hubs.get(tenant)
             if hub is not None and stream_id in hub \
                     and not hub.stats(stream_id)["finished"]:
-                try:
-                    hub.checkpoint(stream_id)
-                except ReproError:
-                    self.errors += 1
+                self._checkpoint(tenant, hub, stream_id)
 
     # ------------------------------------------------------------------
     # frame handlers
@@ -982,21 +994,7 @@ class StreamService:
         self._push_counts[claim] = self._push_counts.get(claim, 0) + 1
         if self._checkpoint_every \
                 and self._push_counts[claim] % self._checkpoint_every == 0:
-            try:
-                hub.checkpoint(stream_id)
-            except ReproError as exc:
-                # A failed cadence checkpoint loses durability, not
-                # correctness: the stream stays live and a later save
-                # (or crash recovery from the previous generation)
-                # covers the gap.  Count it, shout, and keep serving —
-                # surfacing it as a stream error would kill a healthy
-                # stream over a transient disk hiccup.
-                self.errors += 1
-                self._m_checkpoint_failures.inc()
-                logger.warning(
-                    "checkpoint for %s/%s failed (serving continues, "
-                    "durability lags one cadence): %s",
-                    connection.tenant, stream_id, exc)
+            self._checkpoint(connection.tenant, hub, stream_id)
 
     async def _on_flush(self, connection: _Connection, frame: dict) -> None:
         hub = connection.hub
@@ -1064,5 +1062,4 @@ def _error_code(exc: ReproError) -> str:
         "SessionStateError": "bad-checkpoint",
         "CheckpointStoreError": "store",
         "ParameterError": "bad-params",
-        "RegistryError": "bad-params",
     }.get(name, "error")

@@ -1,16 +1,13 @@
-"""Pluggable transports: message framing under the frame codec.
+"""Transports: message framing under the frame codec.
 
 The serving engine (:class:`repro.server.service.StreamService`) and
 the client SDK (:mod:`repro.server.client`) are **transport-blind**:
 they exchange whole frame bodies (bytes produced/consumed by
 :class:`repro.server.protocol.BinaryFrameCodec`) through the small
-interface in this module, and transports are resolved by name through
-the central :class:`repro.registry.ComponentRegistry` under the
-``transport`` kind — the same pattern stores follow, and the Gabriel
-shape of one engine behind ``websocket_server``/``zeromq_server``
-front-ends.
-
-Two transports ship:
+interface in this module — the Gabriel shape of one engine behind
+``websocket_server``/``zeromq_server`` front-ends.
+:func:`build_transport` resolves a name through :data:`TRANSPORTS`,
+which lists the two transports:
 
 ``tcp``
     A 4-byte big-endian length prefix followed by the frame body over
@@ -22,10 +19,10 @@ Two transports ship:
     requires).  Lets browsers and WS-only infrastructure reach a
     ``repro serve`` endpoint.
 
-Both transports enforce the declared-size cap *before* buffering a
-message body (a hostile length yields a clean
-:class:`repro.errors.ProtocolError`, never an OOM), and both clamp the
-cap to :data:`repro.server.protocol.HARD_MAX_FRAME_BYTES`.
+Both transports enforce :data:`repro.server.protocol.MAX_FRAME_BYTES`
+on the declared size *before* buffering a message body: a hostile
+length yields a clean :class:`repro.errors.ProtocolError`, never an
+OOM.
 """
 
 from __future__ import annotations
@@ -40,8 +37,8 @@ import struct
 import numpy as np
 
 from repro.errors import ProtocolError
-from repro.registry import REGISTRY
-from repro.server.protocol import MAX_FRAME_BYTES, effective_max_bytes
+from repro.registry import entry
+from repro.server.protocol import MAX_FRAME_BYTES
 
 _LENGTH_PREFIX = struct.Struct(">I")
 
@@ -114,19 +111,15 @@ class Listener:
 class Transport:
     """One named transport: a listener factory plus a dialer.
 
-    Subclasses register under the ``transport`` registry kind and are
-    constructed with no arguments (:func:`build_transport`); all
-    per-connection tuning travels through method keywords.
+    Subclasses are listed in :data:`TRANSPORTS` and constructed with
+    no arguments (:func:`build_transport`).
     """
 
-    async def serve(self, host: str, port: int, handler, *,
-                    max_bytes: int = MAX_FRAME_BYTES) -> Listener:
+    async def serve(self, host: str, port: int, handler) -> Listener:
         """Bind and accept; ``handler(connection)`` runs per connection."""
         raise NotImplementedError
 
-    async def connect(self, host: str, port: int, *,
-                      max_bytes: int = MAX_FRAME_BYTES
-                      ) -> TransportConnection:
+    async def connect(self, host: str, port: int) -> TransportConnection:
         """Dial a server; returns the connected message channel."""
         raise NotImplementedError
 
@@ -140,10 +133,9 @@ class _StreamConnection(TransportConnection):
     """Shared asyncio-stream plumbing for both transports."""
 
     def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter, max_bytes: int) -> None:
+                 writer: asyncio.StreamWriter) -> None:
         self._reader = reader
         self._writer = writer
-        self._max_bytes = effective_max_bytes(max_bytes)
         self.peer = _peer_name(writer)
 
     @property
@@ -179,29 +171,23 @@ class _StreamConnection(TransportConnection):
 # ----------------------------------------------------------------------
 # TCP: 4-byte length prefix + body (the original wire framing)
 # ----------------------------------------------------------------------
-@REGISTRY.register("transport", "tcp",
-                   description="length-prefixed frames over plain TCP "
-                               "(the original wire framing)")
 class TcpTransport(Transport):
     """Length-prefixed frame bodies over a plain asyncio TCP stream."""
 
-    async def serve(self, host: str, port: int, handler, *,
-                    max_bytes: int = MAX_FRAME_BYTES) -> Listener:
+    async def serve(self, host: str, port: int, handler) -> Listener:
         """Start an asyncio TCP server wrapping connections for
         ``handler``."""
         async def accept(reader, writer):
-            await handler(_TcpConnection(reader, writer, max_bytes))
+            await handler(_TcpConnection(reader, writer))
 
         server = await asyncio.start_server(accept, host, port)
         bound = server.sockets[0].getsockname()
         return Listener(server, (bound[0], bound[1]))
 
-    async def connect(self, host: str, port: int, *,
-                      max_bytes: int = MAX_FRAME_BYTES
-                      ) -> TransportConnection:
+    async def connect(self, host: str, port: int) -> TransportConnection:
         """Dial ``host:port`` and return the framed channel."""
         reader, writer = await asyncio.open_connection(host, port)
-        return _TcpConnection(reader, writer, max_bytes)
+        return _TcpConnection(reader, writer)
 
 
 class _TcpConnection(_StreamConnection):
@@ -217,10 +203,10 @@ class _TcpConnection(_StreamConnection):
                 "connection closed mid-frame (inside the length prefix)"
             ) from exc
         (length,) = _LENGTH_PREFIX.unpack(header)
-        if length > self._max_bytes:
+        if length > MAX_FRAME_BYTES:
             raise ProtocolError(
                 f"frame length prefix {length} exceeds the "
-                f"{self._max_bytes}-byte frame limit (corrupt stream?)"
+                f"{MAX_FRAME_BYTES}-byte frame limit (corrupt stream?)"
             )
         try:
             return await self._reader.readexactly(length)
@@ -317,9 +303,8 @@ class _WebSocketConnection(_StreamConnection):
     require masked client frames and send unmasked.
     """
 
-    def __init__(self, reader, writer, max_bytes: int,
-                 client_side: bool) -> None:
-        super().__init__(reader, writer, max_bytes)
+    def __init__(self, reader, writer, client_side: bool) -> None:
+        super().__init__(reader, writer)
         self._client_side = client_side
         self._close_sent = False
 
@@ -349,10 +334,10 @@ class _WebSocketConnection(_StreamConnection):
                     ">Q", await self._reader.readexactly(8))
             # The declared length is capped BEFORE the payload is
             # buffered: a hostile 2**60 length dies here, not in malloc.
-            if length > self._max_bytes:
+            if length > MAX_FRAME_BYTES:
                 raise ProtocolError(
                     f"WebSocket frame declares {length} bytes, over the "
-                    f"{self._max_bytes}-byte limit (hostile length?)"
+                    f"{MAX_FRAME_BYTES}-byte limit (hostile length?)"
                 )
             if masked == self._client_side:
                 raise ProtocolError(
@@ -433,10 +418,10 @@ class _WebSocketConnection(_StreamConnection):
                 raise ProtocolError(
                     f"unsupported WebSocket opcode 0x{opcode:x}")
             buffered += len(payload)
-            if buffered > self._max_bytes:
+            if buffered > MAX_FRAME_BYTES:
                 raise ProtocolError(
                     f"fragmented WebSocket message exceeds the "
-                    f"{self._max_bytes}-byte limit"
+                    f"{MAX_FRAME_BYTES}-byte limit"
                 )
             parts.append(payload)
             if fin:
@@ -465,14 +450,10 @@ class _WebSocketConnection(_StreamConnection):
         await super().close()
 
 
-@REGISTRY.register("transport", "websocket",
-                   description="RFC 6455 WebSocket (binary messages, "
-                               "stdlib asyncio implementation)")
 class WebSocketTransport(Transport):
     """Frame bodies as binary WebSocket messages (RFC 6455)."""
 
-    async def serve(self, host: str, port: int, handler, *,
-                    max_bytes: int = MAX_FRAME_BYTES) -> Listener:
+    async def serve(self, host: str, port: int, handler) -> Listener:
         """Start a WebSocket server: HTTP upgrade, then binary frames."""
         async def accept(reader, writer):
             try:
@@ -480,7 +461,7 @@ class WebSocketTransport(Transport):
             except (ProtocolError, ConnectionError, OSError):
                 writer.close()
                 return
-            await handler(_WebSocketConnection(reader, writer, max_bytes,
+            await handler(_WebSocketConnection(reader, writer,
                                                client_side=False))
 
         server = await asyncio.start_server(accept, host, port)
@@ -507,9 +488,7 @@ class WebSocketTransport(Transport):
             + websocket_accept(key).encode("ascii") + b"\r\n\r\n")
         await writer.drain()
 
-    async def connect(self, host: str, port: int, *,
-                      max_bytes: int = MAX_FRAME_BYTES
-                      ) -> TransportConnection:
+    async def connect(self, host: str, port: int) -> TransportConnection:
         """Dial and upgrade; returns the WebSocket message channel."""
         reader, writer = await asyncio.open_connection(host, port)
         nonce = base64.b64encode(os.urandom(16)).decode("ascii")
@@ -533,15 +512,20 @@ class WebSocketTransport(Transport):
         except ProtocolError:
             writer.close()
             raise
-        return _WebSocketConnection(reader, writer, max_bytes,
-                                    client_side=True)
+        return _WebSocketConnection(reader, writer, client_side=True)
+
+
+#: ``name -> (transport class, description)``, in ``repro list`` order.
+TRANSPORTS = {
+    "tcp": (TcpTransport,
+            "length-prefixed frames over plain TCP (the original wire "
+            "framing)"),
+    "websocket": (WebSocketTransport,
+                  "RFC 6455 WebSocket (binary messages, stdlib asyncio "
+                  "implementation)"),
+}
 
 
 def build_transport(name: str) -> Transport:
-    """Construct a registered transport by name.
-
-    The name resolves through :data:`repro.registry.REGISTRY`, so a
-    plugin transport registered under ``"transport"`` is immediately
-    usable by ``repro serve --transport`` and the client SDK.
-    """
-    return REGISTRY.get("transport", name)()
+    """Construct the transport :data:`TRANSPORTS` lists under ``name``."""
+    return entry("transport", TRANSPORTS, name)()

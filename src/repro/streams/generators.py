@@ -29,14 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.registry import REGISTRY
 from repro.streams.model import StreamMeta
 from repro.util.rng import make_rng
 
 
-@REGISTRY.register("generator", "temperature",
-                   description="Sec-6 controllable temperature-sensor "
-                               "stream (eta, shape, noise)")
 @dataclass
 class TemperatureSensorGenerator:
     """Controllable synthetic sensor stream (normalized domain).
@@ -180,9 +176,6 @@ class TemperatureSensorGenerator:
         return np.clip(out, -0.495, 0.495)
 
 
-@REGISTRY.register("generator", "gaussian",
-                   description="i.i.d. truncated-gaussian stream "
-                               "(unwatermarked false-positive baseline)")
 @dataclass
 class GaussianStream:
     """I.i.d. gaussian stream — the paper's *random, un-watermarked data*.
@@ -229,9 +222,6 @@ class GaussianStream:
         return np.clip(values, -0.4949, 0.4949)
 
 
-@REGISTRY.register("generator", "random-walk",
-                   description="mean-reverting smoothed random walk "
-                               "(irregular-extreme stress source)")
 @dataclass
 class RandomWalkStream:
     """Mean-reverting smoothed random walk (Ornstein–Uhlenbeck flavour).
@@ -278,3 +268,17 @@ class RandomWalkStream:
             kernel = np.ones(self.smoothing) / self.smoothing
             values = np.convolve(values, kernel, mode="same")
         return np.clip(values, -0.495, 0.495)
+
+
+#: ``name -> (generator class, description)``, in ``repro list`` order.
+GENERATORS = {
+    "temperature": (TemperatureSensorGenerator,
+                    "Sec-6 controllable temperature-sensor stream "
+                    "(eta, shape, noise)"),
+    "gaussian": (GaussianStream,
+                 "i.i.d. truncated-gaussian stream "
+                 "(unwatermarked false-positive baseline)"),
+    "random-walk": (RandomWalkStream,
+                    "mean-reverting smoothed random walk "
+                    "(irregular-extreme stress source)"),
+}

@@ -9,9 +9,8 @@ sensor stream — and therefore the transforms a watermark must survive:
 * :mod:`repro.transforms.segmentation` — (A3) finite segment extraction;
 * :mod:`repro.transforms.linear` — (A4) scaling and offset changes.
 
-Each transform also registers a *builder* with the central
-:class:`repro.registry.ComponentRegistry` under kind ``"transform"``:
-``REGISTRY.get("transform", "sample")(degree=4, rng=0)`` returns a
+:data:`TRANSFORMS` names a *builder* per transform:
+``TRANSFORMS["sample"][0](degree=4, rng=0)`` returns a
 ``values -> values`` callable, which is how
 :class:`repro.attacks.AttackSuite` and the ``repro attack`` CLI resolve
 them by name.
@@ -19,7 +18,6 @@ them by name.
 
 from __future__ import annotations
 
-from repro.registry import REGISTRY
 from repro.transforms.linear import linear_transform
 from repro.transforms.sampling import fixed_random_sampling, uniform_random_sampling
 from repro.transforms.segmentation import random_segment, segment
@@ -36,11 +34,8 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# registry builders: options in, `values -> values` callable out
+# builders: options in, `values -> values` callable out
 # ----------------------------------------------------------------------
-@REGISTRY.register("transform", "sample",
-                   description="(A2) uniform random sampling of degree "
-                               "`degree` (keep one item in `degree`)")
 def _build_sample(degree: int = 2, rng=None):
     """Builder for uniform random sampling."""
     def apply(values):
@@ -48,9 +43,6 @@ def _build_sample(degree: int = 2, rng=None):
     return apply
 
 
-@REGISTRY.register("transform", "sample-fixed",
-                   description="(A2) fixed random sampling: keep every "
-                               "`degree`-th item")
 def _build_sample_fixed(degree: int = 2):
     """Builder for fixed (strided) sampling."""
     def apply(values):
@@ -58,9 +50,6 @@ def _build_sample_fixed(degree: int = 2):
     return apply
 
 
-@REGISTRY.register("transform", "summarize",
-                   description="(A1) summarization of degree `degree` "
-                               "(chunk `aggregate`, default mean)")
 def _build_summarize(degree: int = 2, aggregate: str = "mean"):
     """Builder for chunk summarization."""
     def apply(values):
@@ -68,10 +57,6 @@ def _build_summarize(degree: int = 2, aggregate: str = "mean"):
     return apply
 
 
-@REGISTRY.register("transform", "segment",
-                   description="(A3) random contiguous segment: `length` "
-                               "items or a `fraction` of the stream "
-                               "(default: half)")
 def _build_segment(length: "int | None" = None,
                    fraction: "float | None" = None, rng=None):
     """Builder for random segment extraction.
@@ -90,11 +75,27 @@ def _build_segment(length: "int | None" = None,
     return apply
 
 
-@REGISTRY.register("transform", "linear",
-                   description="(A4) affine value change: "
-                               "`scale` * x + `offset`")
 def _build_linear(scale: float = 1.0, offset: float = 0.0):
     """Builder for linear (affine) value transforms."""
     def apply(values):
         return linear_transform(values, scale=scale, offset=offset)
     return apply
+
+
+#: ``name -> (builder, description)``, in ``repro list`` order.
+TRANSFORMS = {
+    "sample": (_build_sample,
+               "(A2) uniform random sampling of degree `degree` "
+               "(keep one item in `degree`)"),
+    "sample-fixed": (_build_sample_fixed,
+                     "(A2) fixed random sampling: keep every "
+                     "`degree`-th item"),
+    "summarize": (_build_summarize,
+                  "(A1) summarization of degree `degree` "
+                  "(chunk `aggregate`, default mean)"),
+    "segment": (_build_segment,
+                "(A3) random contiguous segment: `length` items or a "
+                "`fraction` of the stream (default: half)"),
+    "linear": (_build_linear,
+               "(A4) affine value change: `scale` * x + `offset`"),
+}

@@ -32,7 +32,7 @@ import pytest
 from repro import DetectionSession, WatermarkParams, watermark_stream
 from repro.chaos import (ChaosChannel, FaultInjector, FaultPlan,
                          RetryPolicy, TransportFaults)
-from repro.errors import RemoteError
+from repro.errors import CheckpointStoreError, RemoteError
 from repro.server import protocol
 from repro.server.client import AsyncRemoteClient, RemoteClient
 from repro.server.service import (DRAIN_GRACE_SECONDS, StreamService,
@@ -393,6 +393,41 @@ class TestCrashRecovery:
         reference, _ = watermark_stream(values, "1", KEY, params=PARAMS)
         assert marked.size == values.size
         assert np.array_equal(marked, reference)
+
+    def test_first_dial_uses_the_whole_retry_budget(self):
+        """A client with no open stream gets every attempt its policy
+        gives: a server that starts listening only after the fourth
+        dial has failed is still reached."""
+        import socket
+
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()  # nothing listens here until the fifth dial
+
+        async def dial_late_server():
+            service = StreamService(port=port)
+            client = AsyncRemoteClient("127.0.0.1", port,
+                                       retry=RetryPolicy(attempts=8,
+                                                         max_delay=0.05))
+            connect = client._transport.connect
+            dials = []
+
+            async def counting_connect(host, port):
+                dials.append(port)
+                if len(dials) == 5:
+                    await service.start()
+                return await connect(host, port)
+
+            client._transport.connect = counting_connect
+            try:
+                await client.connect()
+                await client.close()
+            finally:
+                await service.drain()
+            return len(dials)
+
+        assert asyncio.run(asyncio.wait_for(dial_late_server(), 30)) == 5
 
     def test_recover_refused_without_flag(self, harness, tmp_path):
         """A non-empty store without --recover must refuse to start."""
@@ -874,6 +909,34 @@ class TestStoreLifecycle:
         swept, pending = asyncio.run(asyncio.wait_for(sweep(), 30))
         assert swept
         assert pending == []
+
+    def test_one_failed_save_does_not_stop_the_drain(self, tmp_path):
+        """A store whose save fails for stream ``a`` alone: the drain
+        still lands the other streams' checkpoints and sidecars, and
+        counts the one failure."""
+        values = TemperatureSensorGenerator(eta=60, seed=77).generate(600)
+        service = StreamService(store_path=tmp_path / "store",
+                                checkpoint_every=0)
+        hub = service.hub_for("default")
+        for stream_id in ("a", "b", "c"):
+            hub.protect(stream_id, "1", KEY, params=PARAMS,
+                        encoding="initial")
+            hub.push(stream_id, values)
+        save = hub.store.save
+
+        def save_failing_for_a(stream_id, state):
+            if stream_id == "a":
+                raise CheckpointStoreError("injected: disk full")
+            return save(stream_id, state)
+
+        hub.store.save = save_failing_for_a
+        asyncio.run(asyncio.wait_for(service.drain(), 30))
+        assert hub.store.ids() == ("b", "c")
+        meta = service._meta_stores["default"]
+        assert "b" in meta and "c" in meta
+        assert service.errors == 1
+        counters = service.metrics.snapshot()["counters"]
+        assert counters["server_checkpoint_failures_total"] == 1
 
 
 def _live_timers(loop) -> set:

@@ -23,13 +23,11 @@ from repro.errors import ProtocolError
 from repro.server.protocol import (
     CODEC,
     CODECS,
-    HARD_MAX_FRAME_BYTES,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     BinaryFrameCodec,
     decode_array,
     decode_key,
-    effective_max_bytes,
     encode_array,
     encode_key,
     validate_frame,
@@ -129,9 +127,10 @@ class TestStrictValidation:
 
     def test_oversized_frame_rejected_at_encode(self):
         """The cap covers the meta section too, not just payloads."""
-        frame = {"type": "status", "payload": {"blob": "A" * 256}}
+        frame = {"type": "status",
+                 "payload": {"blob": "A" * MAX_FRAME_BYTES}}
         with pytest.raises(ProtocolError, match="exceeds"):
-            CODEC.encode(frame, max_bytes=128)
+            CODEC.encode(frame)
 
     def test_oversized_length_prefix_rejected_before_buffering(self):
         """The TCP framing refuses a hostile length prefix on sight: the
@@ -144,7 +143,7 @@ class TestStrictValidation:
             reader = asyncio.StreamReader()
             reader.feed_data(struct.pack(">I", 2 ** 31) + b"x")
             reader.feed_eof()
-            channel = _TcpConnection(reader, _Writer(), 1024)
+            channel = _TcpConnection(reader, _Writer())
             with pytest.raises(ProtocolError, match="length prefix"):
                 await channel.read_message()
             return await reader.read()
@@ -355,9 +354,9 @@ class TestBinaryStrictness:
 
     def test_oversized_encode_rejected(self):
         frame = {"type": "push", "stream_id": "s1", "seq": 0,
-                 "values": np.zeros(1000)}
+                 "values": np.zeros(MAX_FRAME_BYTES // 8)}
         with pytest.raises(ProtocolError, match="exceeds"):
-            BinaryFrameCodec().encode(frame, max_bytes=1024)
+            BinaryFrameCodec().encode(frame)
 
     @given(st.binary(max_size=200))
     def test_arbitrary_bodies_never_crash(self, data):
@@ -366,15 +365,6 @@ class TestBinaryStrictness:
             BinaryFrameCodec().decode(data)
         except ProtocolError:
             pass
-
-
-class TestHardFrameCap:
-    """The absolute frame-size ceiling holds whatever callers configure
-    (the transports' length checks: ``tests/unit/test_transports.py``)."""
-
-    def test_effective_max_bytes_clamps_to_hard_cap(self):
-        assert effective_max_bytes(10**15) == HARD_MAX_FRAME_BYTES
-        assert effective_max_bytes(1024) == 1024
 
 
 class TestStatusFrame:

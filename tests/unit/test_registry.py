@@ -1,99 +1,57 @@
-"""Tests for the central component registry."""
+"""Component names: the per-kind tables and the read-only index over them."""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.attacks import ATTACKS
 from repro.cli import main
-from repro.core.encoding_factory import ENCODING_NAMES, encoding_names
-from repro.errors import ParameterError, RegistryError, ReproError
-from repro.registry import REGISTRY, ComponentRegistry
+from repro.core.encoding_factory import ENCODING_NAMES, ENCODINGS
+from repro.errors import ParameterError, ReproError
+from repro.registry import REGISTRY
+from repro.server.transports import build_transport
+from repro.transforms import TRANSFORMS
 
-
-def fresh_registry() -> ComponentRegistry:
-    """An isolated registry with no built-in provider modules."""
-    return ComponentRegistry(provider_modules=())
-
-
-class TestRegistration:
-    def test_add_and_get(self):
-        registry = fresh_registry()
-        sentinel = object()
-        registry.add("encoding", "toy", sentinel, description="a toy")
-        assert registry.get("encoding", "toy") is sentinel
-        assert registry.describe("encoding") == {"toy": "a toy"}
-
-    def test_decorator_returns_object(self):
-        registry = fresh_registry()
-
-        @registry.register("transform", "noop", description="identity")
-        def noop():
-            return lambda values: values
-
-        assert registry.get("transform", "noop") is noop
-
-    def test_duplicate_name_rejected(self):
-        registry = fresh_registry()
-        registry.add("attack", "twice", object())
-        with pytest.raises(RegistryError, match="already registered"):
-            registry.add("attack", "twice", object())
-
-    def test_same_name_allowed_across_kinds(self):
-        registry = fresh_registry()
-        registry.add("attack", "shared", object())
-        registry.add("transform", "shared", object())
-        assert registry.names("attack") == ("shared",)
-        assert registry.names("transform") == ("shared",)
-
-    def test_empty_name_rejected(self):
-        registry = fresh_registry()
-        with pytest.raises(RegistryError, match="non-empty string"):
-            registry.add("encoding", "", object())
-
-    def test_unknown_kind_rejected(self):
-        registry = fresh_registry()
-        with pytest.raises(RegistryError, match="unknown component kind"):
-            registry.add("codec", "x", object())
-
-    def test_registry_error_is_repro_and_value_error(self):
-        assert issubclass(RegistryError, ReproError)
-        assert issubclass(RegistryError, ValueError)
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
 class TestLookupErrors:
     def test_unknown_name_lists_valid_names(self):
-        registry = fresh_registry()
-        registry.add("encoding", "alpha", object())
-        registry.add("encoding", "beta", object())
-        with pytest.raises(RegistryError) as excinfo:
-            registry.get("encoding", "gamma")
+        with pytest.raises(ParameterError) as excinfo:
+            REGISTRY.get("encoding", "gamma")
         message = str(excinfo.value)
-        assert "alpha" in message and "beta" in message
+        assert all(name in message for name in ENCODING_NAMES)
 
     def test_typo_gets_a_suggestion(self):
-        registry = fresh_registry()
-        registry.add("attack", "epsilon", object())
-        with pytest.raises(RegistryError, match="Did you mean 'epsilon'"):
-            registry.get("attack", "epsilom")
+        with pytest.raises(ParameterError, match="Did you mean 'epsilon'"):
+            REGISTRY.get("attack", "epsilom")
 
     def test_find_searches_kinds_in_order(self):
-        registry = fresh_registry()
-        first = object()
-        registry.add("transform", "both", first)
-        registry.add("attack", "both", object())
-        assert registry.find("both", kinds=("transform", "attack")).obj \
-            is first
+        kinds = ("transform", "attack")
+        assert REGISTRY.find("sample", kinds) \
+            == ("transform", TRANSFORMS["sample"][0])
+        assert REGISTRY.find("epsilon", kinds) \
+            == ("attack", ATTACKS["epsilon"][0])
 
     def test_find_error_lists_all_searched_kinds(self):
-        registry = fresh_registry()
-        registry.add("transform", "sample", object())
-        registry.add("attack", "epsilon", object())
-        with pytest.raises(RegistryError) as excinfo:
-            registry.find("zap", kinds=("attack", "transform"))
+        with pytest.raises(ParameterError) as excinfo:
+            REGISTRY.find("zap", kinds=("attack", "transform"))
         message = str(excinfo.value)
         assert "epsilon" in message and "sample" in message
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ParameterError, match="unknown component kind"):
+            REGISTRY.names("codec")
+
+    def test_unknown_transport_lists_both(self):
+        with pytest.raises(ReproError) as excinfo:
+            build_transport("tcpx")
+        message = str(excinfo.value)
+        assert "tcp" in message and "websocket" in message
+        assert "Did you mean 'tcp'" in message
 
 
 class TestBuiltinPopulation:
@@ -105,8 +63,8 @@ class TestBuiltinPopulation:
         assert len(REGISTRY.names("generator")) >= 3
 
     def test_encoding_names_derive_from_registry(self):
-        assert ENCODING_NAMES == REGISTRY.names("encoding")
-        assert encoding_names() == REGISTRY.names("encoding")
+        assert ENCODING_NAMES == REGISTRY.names("encoding") \
+            == tuple(ENCODINGS)
 
     def test_factory_unknown_name_error_lists_names(self):
         from repro.core.encoding_factory import build_encoding
@@ -127,7 +85,7 @@ class TestBuiltinPopulation:
 class TestLazyPopulation:
     def test_core_import_does_not_populate_providers(self):
         """Importing the core (or looking up an encoding) must not drag
-        in the attack/transform/generator provider modules."""
+        in the attack/transform provider modules."""
         import subprocess
         import sys
 
@@ -138,9 +96,6 @@ class TestLazyPopulation:
             "assert 'repro.attacks' not in sys.modules, 'attacks imported'\n"
             "assert 'repro.transforms' not in sys.modules, "
             "'transforms imported'\n"
-            "from repro.core import ENCODING_NAMES\n"  # lazy, populates
-            "assert len(ENCODING_NAMES) >= 3\n"
-            "assert 'repro.attacks' in sys.modules\n"
         )
         completed = subprocess.run([sys.executable, "-c", code],
                                    capture_output=True, text=True)
@@ -148,21 +103,26 @@ class TestLazyPopulation:
 
 
 class TestCliIntegration:
-    def test_new_registration_is_immediately_cli_visible(self, capsys):
-        """A plugin registered at runtime shows up in `repro list`."""
-        name = "test-only-transform"
-        if name not in REGISTRY.names("transform"):
-            REGISTRY.add("transform", name,
-                         lambda: (lambda values: values),
-                         description="registered by the test-suite")
-        assert main(["list", "--kind", "transform", "--json"]) == 0
-        listed = json.loads(capsys.readouterr().out)
-        assert name in listed["transform"]
-
     def test_list_covers_every_kind(self, capsys):
         assert main(["list", "--json"]) == 0
         listed = json.loads(capsys.readouterr().out)
         assert set(listed) == set(REGISTRY.KINDS)
+
+    def test_list_output_is_pinned(self, capsys):
+        """5 kinds, 16 components: names, order and descriptions."""
+        assert main(["list"]) == 0
+        assert capsys.readouterr().out \
+            == (FIXTURES / "repro_list.txt").read_text(encoding="utf-8")
+
+    def test_list_json_output_is_pinned(self, capsys):
+        assert main(["list", "--json"]) == 0
+        assert capsys.readouterr().out \
+            == (FIXTURES / "repro_list.json").read_text(encoding="utf-8")
+
+    def test_serve_unknown_transport_exits_2(self, capsys):
+        assert main(["serve", "--transport", "tcpx", "--port", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "tcp" in err and "websocket" in err
 
     def test_attack_kind_typo_is_helpful(self, tmp_path, capsys):
         stream = tmp_path / "s.csv"

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.errors import ProtocolError, ReproError
 from repro.server.protocol import (
     CODEC,
-    HARD_MAX_FRAME_BYTES,
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
 )
 from repro.server.transports import (
@@ -77,7 +77,7 @@ class _NoWriter:
         return None
 
 
-def tcp_channel(data: bytes = b"", *, max_bytes: int, eof: bool = True):
+def tcp_channel(data: bytes = b"", *, eof: bool = True):
     """A TCP message channel reading ``data`` from memory.
 
     Returns ``(channel, reader)``; feed more bytes through ``reader``.
@@ -87,7 +87,7 @@ def tcp_channel(data: bytes = b"", *, max_bytes: int, eof: bool = True):
     reader.feed_data(data)
     if eof:
         reader.feed_eof()
-    return _TcpConnection(reader, _NoWriter(), max_bytes), reader
+    return _TcpConnection(reader, _NoWriter()), reader
 
 
 class TestWebSocketAccept:
@@ -223,8 +223,7 @@ class TestTcpChannel:
             server = await asyncio.start_server(closing(hostile),
                                                 "127.0.0.1", 0)
             host, port = server.sockets[0].getsockname()[:2]
-            connection = await TcpTransport().connect(host, port,
-                                                      max_bytes=1 << 20)
+            connection = await TcpTransport().connect(host, port)
             try:
                 with pytest.raises(ProtocolError, match="length prefix"):
                     await connection.read_message()
@@ -267,8 +266,7 @@ class TestTcpChannel:
                         for body in bodies)
 
         async def scenario(cut):
-            channel, reader = tcp_channel(wire[:cut], max_bytes=1 << 20,
-                                          eof=False)
+            channel, reader = tcp_channel(wire[:cut], eof=False)
             first = asyncio.ensure_future(channel.read_message())
             await asyncio.sleep(0)
             reader.feed_data(wire[cut:])
@@ -284,7 +282,7 @@ class TestTcpChannel:
         """Fuzz: any byte stream yields messages that decode or raise
         ProtocolError, then a clean end — nothing rawer."""
         async def scenario():
-            channel, _ = tcp_channel(data, max_bytes=1024)
+            channel, _ = tcp_channel(data)
             while (body := await channel.read_message()) is not None:
                 CODEC.decode(body)
 
@@ -295,37 +293,35 @@ class TestTcpChannel:
 
 
 class TestHardFrameCap:
-    """The absolute frame-size ceiling holds whatever a channel is
-    configured with: a hostile length prefix dies before buffering."""
+    """:data:`MAX_FRAME_BYTES` is the one frame-size cap: a hostile
+    length prefix dies before any body byte is buffered."""
 
-    def test_rejects_hostile_prefix_despite_huge_limit(self):
-        """A giant configured limit cannot disable the hard cap: the
-        prefix alone is rejected before any body bytes buffer."""
+    def test_over_cap_prefix_rejected_before_buffering(self):
+        """A prefix one byte over the cap is rejected on arrival, while
+        the stream stays open and no body byte has come."""
         async def scenario():
-            channel, _ = tcp_channel(
-                struct.pack(">I", HARD_MAX_FRAME_BYTES + 1),
-                max_bytes=10**15, eof=False)
+            channel, _ = tcp_channel(struct.pack(">I", MAX_FRAME_BYTES + 1),
+                                     eof=False)
             await channel.read_message()
 
         with pytest.raises(ProtocolError, match="exceeds"):
             run(scenario())
 
-    @given(st.integers(HARD_MAX_FRAME_BYTES + 1, 2**32 - 1))
+    @given(st.integers(MAX_FRAME_BYTES + 1, 2**32 - 1))
     def test_any_over_cap_prefix_rejected(self, length):
         """Fuzz: every over-cap declared length dies on arrival."""
         async def scenario():
-            channel, _ = tcp_channel(struct.pack(">I", length) + b"x" * 16,
-                                     max_bytes=HARD_MAX_FRAME_BYTES)
+            channel, _ = tcp_channel(struct.pack(">I", length) + b"x" * 16)
             await channel.read_message()
 
         with pytest.raises(ProtocolError, match="exceeds"):
             run(scenario())
 
     def test_in_range_prefix_still_buffers(self):
-        """An in-range prefix under a huge limit waits for its body."""
+        """An in-range prefix waits for its body."""
         async def scenario():
             channel, reader = tcp_channel(struct.pack(">I", 64) + b"{",
-                                          max_bytes=10**15, eof=False)
+                                          eof=False)
             read = asyncio.ensure_future(channel.read_message())
             await asyncio.sleep(0.01)
             assert not read.done()
@@ -397,12 +393,11 @@ async def _ws_scripted_server(*payloads: bytes):
     return server, server.sockets[0].getsockname()[:2]
 
 
-async def _ws_client_reads(server_bytes, max_bytes=1 << 20):
+async def _ws_client_reads(server_bytes):
     """Connect a real WebSocket client to a scripted server; return
     what read_message yields (or raise what it raises)."""
     server, (host, port) = await _ws_scripted_server(*server_bytes)
-    connection = await WebSocketTransport().connect(host, port,
-                                                    max_bytes=max_bytes)
+    connection = await WebSocketTransport().connect(host, port)
     try:
         return await connection.read_message()
     finally:
@@ -493,14 +488,16 @@ class TestWebSocketChannel:
         payload ever being read or buffered."""
         hostile = bytes([0x82, 127]) + struct.pack(">Q", 1 << 60)
         with pytest.raises(ProtocolError, match="hostile length"):
-            run(_ws_client_reads([hostile], max_bytes=1 << 20))
+            run(_ws_client_reads([hostile]))
 
     def test_oversized_fragment_total_rejected(self):
-        """Fragments individually under the cap must not buffer past it."""
-        frames = [ws_frame(0x2, b"a" * 600, fin=False),
-                  ws_frame(0x0, b"b" * 600, fin=True)]
+        """Fragments individually under the cap must not buffer past
+        it: two halves that total one byte over 8 MiB fail."""
+        half = MAX_FRAME_BYTES // 2
+        frames = [ws_frame(0x2, b"a" * half, fin=False),
+                  ws_frame(0x0, b"b" * (half + 1), fin=True)]
         with pytest.raises(ProtocolError, match="exceeds"):
-            run(_ws_client_reads(frames, max_bytes=1000))
+            run(_ws_client_reads(frames))
 
     def test_unmasked_client_frame_rejected_by_server(self):
         """The server rejects unmasked client frames (RFC 6455 §5.1)."""
